@@ -12,15 +12,17 @@
 ///     `adept serve --listen` process (dist::ServeListener spawns it and
 ///     scrapes the announced ephemeral port).
 ///
-/// Two streaming A/B sections measure the streamed stitch:
-///   - dist-stream-ab   — end-to-end: the same socket coordinator with
-///     shard responses streaming into the stitch as workers answer vs
-///     the batch-collect barrier (--no-stream's path), best of 5 per
-///     mode over 96 shards at stitch fanout 2 so recursive stitch
-///     levels overlap leaf planning;
+/// Two sections measure the streamed stitch:
+///   - dist-stream-ab   — end-to-end: the socket coordinator streaming
+///     shard responses into the stitch as workers answer, best of 5
+///     over 96 shards at stitch fanout 2 so recursive stitch levels
+///     overlap leaf planning (the coordinator has no other mode; the
+///     series keeps its name so the committed trajectory stays
+///     comparable);
 ///   - dist-stream-tail — isolated: precomputed leaf plans delivered by
 ///     paced threads, measuring the *tail* — time from the last shard's
-///     arrival to the final plan. Streaming has already folded every
+///     arrival to the final plan — of plan_sharded_streamed against the
+///     batch core plan_sharded_with. Streaming has already folded every
 ///     earlier group when the last shard lands, so its tail is just the
 ///     stitch spine; batch pays the whole stitch there. The tail ratio
 ///     is the feature's latency win, free of socket/scheduler noise.
@@ -31,9 +33,8 @@
 ///     (hierarchy, report and trace — ISSUE-6's acceptance contract);
 ///   - the healthy pipe and socket fleets answer every dispatched shard
 ///     themselves: no worker failures, fallbacks, or refused connects;
-///   - streaming is bit-identical to batch collect and not slower
-///     (streaming_speedup >= 0.8 — socket walls are noisy on shared
-///     runners, so end-to-end only gates non-regression);
+///   - the streamed socket coordinator is bit-identical to the
+///     dist-stream-tail plan over the same 96-shard partition;
 ///   - the streamed stitch tail is >= 2x shorter than the batch tail
 ///     (tail_speedup, typically ~10x; gated in CI via bench_gate).
 ///
@@ -221,18 +222,16 @@ int main(int argc, char** argv) {
            socket_before.socket_connect_failures) ==
       0;
 
-  // ---- streaming vs batch-collect stitch (A/B) -------------------------
-  // Same coordinator, same fleet shape; the only difference is whether
-  // shard responses stream into the stitch as workers answer or park
-  // behind the batch barrier. Small fanout over many shards forces
-  // recursive stitch levels — the work streaming overlaps with planning.
-  // The fleet must be real subprocess workers: they plan in their own
-  // process, so a drain thread stitching a completed group overlaps the
-  // shards still being planned (the in-process transport plans *on* the
-  // drain thread, which would serialize the two). The sessions reuse the
-  // socket listener above — one warm process, many coordinators, which
-  // also keeps worker startup out of the measurement. Best-of-3 per mode
-  // damps scheduler noise on shared runners.
+  // ---- streamed socket coordinator over many shards --------------------
+  // Small fanout over many shards forces recursive stitch levels — the
+  // work streaming overlaps with planning. The fleet must be real
+  // subprocess workers: they plan in their own process, so a drain
+  // thread stitching a completed group overlaps the shards still being
+  // planned (the in-process transport plans *on* the drain thread, which
+  // would serialize the two). The sessions reuse the socket listener
+  // above — one warm process, many coordinators, which also keeps worker
+  // startup out of the measurement. Best-of-5 damps scheduler noise on
+  // shared runners.
   dist::CoordinatorConfig ab_config = config;
   ab_config.workers = 4;
   ab_config.stitch_fanout = 2;
@@ -240,9 +239,7 @@ int main(int argc, char** argv) {
   ab_options.shards = 96;
   const PlanRequest ab_request{platform, bench::params(), service, ab_options};
   Measured streamed;
-  Measured batch;
   for (int round = 0; round < 5; ++round) {
-    ab_config.streaming = true;
     const Measured stream_run = timed([&] {
       dist::SocketTransport transport({listener.endpoint()});
       dist::Coordinator coordinator(transport, ab_config);
@@ -250,20 +247,10 @@ int main(int argc, char** argv) {
     });
     if (round == 0 || stream_run.wall_ms < streamed.wall_ms)
       streamed = stream_run;
-    ab_config.streaming = false;
-    const Measured batch_run = timed([&] {
-      dist::SocketTransport transport({listener.endpoint()});
-      dist::Coordinator coordinator(transport, ab_config);
-      return coordinator.plan(ab_request);
-    });
-    if (round == 0 || batch_run.wall_ms < batch.wall_ms) batch = batch_run;
   }
-  const bool stream_identical = identical(streamed.plan, batch.plan);
-  const double streaming_speedup =
-      streamed.wall_ms > 0.0 ? batch.wall_ms / streamed.wall_ms : 0.0;
 
   // ---- streamed stitch tail: latency after the last shard arrives ------
-  // The end-to-end A/B above is diluted by everything both modes share
+  // An end-to-end comparison is diluted by everything both cores share
   // (leaf planning, the wire, the scheduler). This section isolates what
   // streaming actually changes: by the time the last shard arrives, the
   // streamed stitch has already folded every completed group, so only
@@ -286,9 +273,7 @@ int main(int argc, char** argv) {
           PlanResult plan = plan_heterogeneous(sub, bench::params(), service,
                                                options.demand, nullptr,
                                                &options);
-          for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-            plan.hierarchy.replace_node(e,
-                                        leaves[s][plan.hierarchy.node_of(e)]);
+          leaf_to_platform_ids(plan, leaves[s]);
           leaf_bank[s] = plan;
           ready(s, std::move(plan));
         }
@@ -342,6 +327,7 @@ int main(int argc, char** argv) {
                               identical(tail_stream_plan, streamed.plan);
   const double tail_speedup =
       stream_tail_ms > 0.0 ? batch_tail_ms / stream_tail_ms : 0.0;
+  const bool stream_identical = identical(streamed.plan, tail_stream_plan);
 
   // ---- chaos: supervised fleet under a kill-rate sweep ------------------
   const std::string worker_cmd =
@@ -441,16 +427,13 @@ int main(int argc, char** argv) {
                  socket_identical ? "yes" : "NO"});
   std::cout << table << '\n';
 
-  Table stream_table("streaming vs batch-collect stitch, " +
+  Table stream_table("streamed socket coordinator, " +
                      std::to_string(ab_options.shards) + " shards, fanout " +
                      std::to_string(ab_config.stitch_fanout) + ", " +
                      std::to_string(ab_config.workers) +
                      " socket sessions (best of 5)");
-  stream_table.set_header({"mode", "wall ms", "speedup", "identical"});
-  stream_table.add_row({"batch-collect", Table::num(batch.wall_ms, 1), "-",
-                        "-"});
+  stream_table.set_header({"mode", "wall ms", "identical to tail plan"});
   stream_table.add_row({"streaming", Table::num(streamed.wall_ms, 1),
-                        Table::num(streaming_speedup, 2) + "x",
                         stream_identical ? "yes" : "NO"});
   std::cout << stream_table << '\n';
 
@@ -516,9 +499,7 @@ int main(int argc, char** argv) {
                                   socket_before.socket_connects)}}});
   json.add({"dist-stream-ab", count, streamed.wall_ms, 0,
             streamed.plan.report.overall,
-            {{"streaming_speedup", streaming_speedup},
-             {"batch_wall_ms", batch.wall_ms},
-             {"bit_identical", stream_identical ? 1.0 : 0.0}}});
+            {{"bit_identical", stream_identical ? 1.0 : 0.0}}});
   json.add({"dist-stream-tail", count, stream_tail_ms, 0,
             tail_stream_plan.report.overall,
             {{"tail_speedup", tail_speedup},
@@ -560,10 +541,9 @@ int main(int argc, char** argv) {
   bench::verdict("socket fleet ran clean (0 failures, fallbacks, refused "
                  "connects)",
                  clean_socket_run);
-  bench::verdict("streaming stitch bit-identical to batch collect and not "
-                 "slower (got " +
-                     Table::num(streaming_speedup, 2) + "x)",
-                 stream_identical && streaming_speedup >= 0.8);
+  bench::verdict("streamed socket coordinator bit-identical to the "
+                 "streamed tail plan",
+                 stream_identical);
   bench::verdict("streamed stitch tail >= 2x shorter than the batch tail "
                  "(got " +
                      Table::num(tail_speedup, 1) + "x)",
@@ -583,7 +563,7 @@ int main(int argc, char** argv) {
   json.write(parser.get("json"));
   const bool ok = inproc_identical && pipe_identical && clean_pipe_run &&
                   socket_identical && clean_socket_run && stream_identical &&
-                  streaming_speedup >= 0.8 && tail_identical &&
+                  tail_identical &&
                   tail_speedup >= 2.0 && chaos_zero_failures &&
                   flap_identical && flap_answered_by_workers &&
                   storm_identical && recovered_identical && recovered_clean &&

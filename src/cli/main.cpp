@@ -21,7 +21,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "common/argparse.hpp"
@@ -72,6 +71,43 @@ void write_file(const std::string& path, const std::string& content) {
   ADEPT_CHECK(out.good(), "cannot open '" + path + "' for writing");
   out << content;
   ADEPT_CHECK(out.good(), "write to '" + path + "' failed");
+}
+
+/// Writes the GoDIET XML (--xml) and Graphviz DOT (--dot) exports of
+/// `hierarchy` for whichever of the two the command line asked for.
+void write_exports(const ArgParser& parser, const Hierarchy& hierarchy,
+                   const Platform& platform) {
+  if (parser.has("xml"))
+    write_file(parser.get("xml"), write_godiet_xml(hierarchy, platform));
+  if (parser.has("dot"))
+    write_file(parser.get("dot"), write_dot(hierarchy, platform));
+}
+
+/// The planning-service sizing flags `plan`, `simulate --scenario` and
+/// `serve` share: declared by add_service_flags() (`--shard-cache`
+/// defaults differ per command), validated by service_flags().
+struct ServiceFlags {
+  std::size_t jobs = 0;
+  std::size_t shard_cache = 0;
+};
+
+void add_service_flags(ArgParser& parser,
+                       const std::string& shard_cache_default) {
+  parser.add_option("jobs", "planning service worker threads (0 = all cores)",
+                    "0");
+  parser.add_option("shard-cache",
+                    "shard-level sub-plan cache capacity in entries, used by "
+                    "sharded/distributed planning (0 disables)",
+                    shard_cache_default);
+}
+
+ServiceFlags service_flags(const ArgParser& parser) {
+  const long long jobs = parser.get_int("jobs");
+  const long long shard_cache = parser.get_int("shard-cache");
+  ADEPT_CHECK(jobs >= 0, "--jobs must be >= 0");
+  ADEPT_CHECK(shard_cache >= 0, "--shard-cache must be >= 0");
+  return {static_cast<std::size_t>(jobs),
+          static_cast<std::size_t>(shard_cache)};
 }
 
 void print_plan_summary(const PlanResult& plan, const Platform& platform) {
@@ -201,12 +237,7 @@ int cmd_plan(const std::vector<std::string>& args) {
   parser.add_option("shards", "shard count for the sharded planner: auto|N",
                     "auto");
   parser.add_option("exclude", "comma-separated host names never to deploy");
-  parser.add_option("jobs", "worker threads for portfolio runs (0 = all cores)",
-                    "0");
-  parser.add_option("shard-cache",
-                    "shard-level sub-plan cache capacity for sharded/"
-                    "distributed planners (0 disables)",
-                    "0");
+  add_service_flags(parser, "0");
   parser.add_option("workers",
                     "distributed planner only: spawn this many `adept serve` "
                     "subprocesses as the worker fleet");
@@ -216,10 +247,6 @@ int cmd_plan(const std::vector<std::string>& args) {
                     "processes; the fleet is TCP sessions instead of "
                     "subprocesses (--workers sessions, default one per "
                     "endpoint)");
-  parser.add_flag("no-stream",
-                  "distributed planner only: collect the whole shard batch "
-                  "before stitching instead of streaming results into the "
-                  "stitch as workers answer (identical plan, A/B latency)");
   parser.add_flag("list-planners", "print the planner registry and exit");
   parser.add_flag("json", "print the wire-format JSON result instead of tables");
   parser.add_option("xml", "write GoDIET XML to this file");
@@ -236,13 +263,9 @@ int cmd_plan(const std::vector<std::string>& args) {
     request.options.excluded = parse_host_set(platform, parser.get("exclude"));
 
   const std::string planner = parser.get("planner");
-  const long long jobs = parser.get_int("jobs");
-  const long long shard_cache = parser.get_int("shard-cache");
-  ADEPT_CHECK(jobs >= 0, "--jobs must be >= 0");
-  ADEPT_CHECK(shard_cache >= 0, "--shard-cache must be >= 0");
-  PlanningService service(
-      static_cast<std::size_t>(jobs), PlannerRegistry::instance(),
-      CacheConfig{0, static_cast<std::size_t>(shard_cache), true});
+  const ServiceFlags flags = service_flags(parser);
+  PlanningService service(flags.jobs, PlannerRegistry::instance(),
+                          CacheConfig{0, flags.shard_cache, true});
 
   const bool as_json = parser.get_flag("json");
   PlanResult plan;
@@ -250,16 +273,11 @@ int cmd_plan(const std::vector<std::string>& args) {
     const PortfolioResult portfolio = service.run_portfolio(request);
     if (as_json) {
       std::cout << wire::to_json(portfolio).dump() << "\n";
-      // The winner is only needed to feed the export writers; a
-      // winnerless portfolio is already fully described by the JSON.
-      if (parser.has("xml") || parser.has("dot")) {
-        plan = portfolio.best().result;  // throws when every planner failed
-        if (parser.has("xml"))
-          write_file(parser.get("xml"),
-                     write_godiet_xml(plan.hierarchy, platform));
-        if (parser.has("dot"))
-          write_file(parser.get("dot"), write_dot(plan.hierarchy, platform));
-      }
+      // The winner is only needed to feed the export writers (best()
+      // throws when every planner failed); a winnerless portfolio is
+      // already fully described by the JSON.
+      if (parser.has("xml") || parser.has("dot"))
+        write_exports(parser, portfolio.best().result.hierarchy, platform);
       return portfolio.has_winner() ? 0 : 1;
     }
     Table table("Portfolio (" + std::to_string(service.thread_count()) +
@@ -324,14 +342,12 @@ int cmd_plan(const std::vector<std::string>& args) {
       dist::SupervisorConfig fleet_config;
       fleet_config.workers = fleet_size;
       dist::FleetSupervisor fleet(*transport, fleet_config);
-      dist::CoordinatorConfig coordinator_config;
-      coordinator_config.streaming = !parser.get_flag("no-stream");
-      dist::Coordinator coordinator(fleet, coordinator_config);
+      dist::Coordinator coordinator(fleet);
       // The coordinator path bypasses the PlanningService, so hand it a
       // coordinator-side shard cache directly: repeated/overlapping shard
       // content is answered locally and never dispatched to the fleet.
-      ShardPlanCache coordinator_cache(static_cast<std::size_t>(shard_cache));
-      if (shard_cache > 0)
+      ShardPlanCache coordinator_cache(flags.shard_cache);
+      if (flags.shard_cache > 0)
         request.options.shard_cache = &coordinator_cache;
       run.planner = planner;
       const auto start = std::chrono::steady_clock::now();
@@ -351,12 +367,7 @@ int cmd_plan(const std::vector<std::string>& args) {
     if (!run.ok) throw Error("planner '" + planner + "' failed: " + run.error);
     if (as_json) {
       std::cout << wire::to_json(run).dump() << "\n";
-      if (parser.has("xml"))
-        write_file(parser.get("xml"),
-                   write_godiet_xml(run.result.hierarchy, platform));
-      if (parser.has("dot"))
-        write_file(parser.get("dot"),
-                   write_dot(run.result.hierarchy, platform));
+      write_exports(parser, run.result.hierarchy, platform);
       return 0;
     }
     std::cout << "planner         : " << planner << " ("
@@ -366,10 +377,7 @@ int cmd_plan(const std::vector<std::string>& args) {
   }
 
   print_plan_summary(plan, platform);
-  if (parser.has("xml"))
-    write_file(parser.get("xml"), write_godiet_xml(plan.hierarchy, platform));
-  if (parser.has("dot"))
-    write_file(parser.get("dot"), write_dot(plan.hierarchy, platform));
+  write_exports(parser, plan.hierarchy, platform);
   return 0;
 }
 
@@ -455,12 +463,7 @@ int cmd_simulate_scenario(const std::vector<std::string>& args) {
   parser.add_option("planner", "full-replan planner", "heuristic");
   parser.add_option("shards", "shard-local repair: auto|N (omit for global "
                               "repair)");
-  parser.add_option("shard-cache",
-                    "shard-level sub-plan cache capacity for sharded "
-                    "fallback replans (0 disables)",
-                    "0");
-  parser.add_option("jobs", "planning service worker threads (0 = all cores)",
-                    "0");
+  add_service_flags(parser, "0");
   parser.add_option("events", "stop after this many events (0 = all)", "0");
   parser.add_option("record", "write the scenario + expanded trace to this file");
   parser.add_flag("replay", "input must be a recording; verify the trace "
@@ -488,18 +491,15 @@ int cmd_simulate_scenario(const std::vector<std::string>& args) {
           ? sim::ScenarioEngine(scenario, *resolved.recorded_trace)
           : sim::ScenarioEngine(scenario);
 
-  const long long jobs = parser.get_int("jobs");
-  const long long shard_cache = parser.get_int("shard-cache");
-  ADEPT_CHECK(jobs >= 0, "--jobs must be >= 0");
-  ADEPT_CHECK(shard_cache >= 0, "--shard-cache must be >= 0");
-  PlanningService service(static_cast<std::size_t>(jobs));
+  const ServiceFlags flags = service_flags(parser);
+  PlanningService service(flags.jobs);
   ReplanConfig config;
   config.planner = parser.get("planner");
   config.budget_ms = parser.get_double("budget");
   config.drift_threshold = parser.get_double("drift");
   if (parser.has("shards")) config.shards = parse_shards(parser.get("shards"));
-  if (shard_cache > 0)
-    config.cache = CacheConfig{0, static_cast<std::size_t>(shard_cache), true};
+  if (flags.shard_cache > 0)
+    config.cache = CacheConfig{0, flags.shard_cache, true};
   ReplanOrchestrator orchestrator(service, MiddlewareParams::diet_grid5000(),
                                   parse_service(parser.get("service")), config);
 
@@ -608,7 +608,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
     return cmd_simulate_scenario(args);
 
   ArgParser parser("adept simulate",
-                   "Run the discrete-event simulator on a deployment XML.");
+                   "Run the discrete-event simulator on a deployment XML. "
+                   "`adept simulate --scenario <name> --help` lists the "
+                   "churn-scenario options instead.");
   parser.add_positional("deployment", "GoDIET-style XML file");
   parser.add_option("service", "dgemm-<n> or MFlop per request", "dgemm-310");
   parser.add_option("clients", "number of concurrent clients", "50");
@@ -672,9 +674,7 @@ int cmd_repair(const std::vector<std::string>& args) {
   } else {
     print_plan_summary(plan, deployment.platform);
   }
-  if (parser.has("xml"))
-    write_file(parser.get("xml"),
-               write_godiet_xml(plan.hierarchy, deployment.platform));
+  write_exports(parser, plan.hierarchy, deployment.platform);
   return 0;
 }
 
@@ -684,12 +684,8 @@ int cmd_serve(const std::vector<std::string>& args) {
       "Answer JSON-lines planning requests on stdin, one JSON response "
       "per line on stdout, until EOF or {\"cmd\":\"quit\"} (see io/serve.hpp "
       "for the request schema).");
-  parser.add_option("jobs", "worker threads (0 = all cores)", "0");
+  add_service_flags(parser, "256");
   parser.add_option("cache", "plan-cache capacity in entries (0 disables)",
-                    "256");
-  parser.add_option("shard-cache",
-                    "shard-level sub-plan cache capacity in entries "
-                    "(0 disables)",
                     "256");
   parser.add_flag("no-coalesce",
                   "disable single-flight coalescing of identical "
@@ -711,22 +707,18 @@ int cmd_serve(const std::vector<std::string>& args) {
                     "0");
   parser.parse(args);
 
-  const long long jobs = parser.get_int("jobs");
+  const ServiceFlags flags = service_flags(parser);
   const long long cache = parser.get_int("cache");
-  const long long shard_cache = parser.get_int("shard-cache");
   const long long max_pending = parser.get_int("max-pending");
   const long long max_sessions = parser.get_int("max-sessions");
-  ADEPT_CHECK(jobs >= 0, "--jobs must be >= 0");
   ADEPT_CHECK(cache >= 0, "--cache must be >= 0");
-  ADEPT_CHECK(shard_cache >= 0, "--shard-cache must be >= 0");
   ADEPT_CHECK(max_pending >= 0, "--max-pending must be >= 0");
   ADEPT_CHECK(max_sessions >= 0, "--max-sessions must be >= 0");
   ADEPT_CHECK(max_sessions == 0 || parser.has("listen"),
               "--max-sessions only applies with --listen");
   io::ServeConfig config;
-  config.threads = static_cast<std::size_t>(jobs);
-  config.cache = CacheConfig{static_cast<std::size_t>(cache),
-                             static_cast<std::size_t>(shard_cache),
+  config.threads = flags.jobs;
+  config.cache = CacheConfig{static_cast<std::size_t>(cache), flags.shard_cache,
                              !parser.get_flag("no-coalesce")};
   config.max_pending = static_cast<std::size_t>(max_pending);
   config.degrade = parser.get_flag("degrade");
@@ -833,10 +825,14 @@ int main(int argc, char** argv) {
       "usage: adept "
       "<generate|plan|predict|simulate|repair|serve|metrics|calibrate> "
       "[options]\n"
-      "run `adept <command> --help` style options are listed on error\n";
+      "run `adept <command> --help` for a command's options\n";
   if (args.empty()) {
     std::cerr << usage;
     return 2;
+  }
+  if (args.front() == "--help" || args.front() == "-h") {
+    std::cout << usage;
+    return 0;
   }
   const std::string command = args.front();
   args.erase(args.begin());

@@ -1,5 +1,7 @@
 #include "common/argparse.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -29,6 +31,10 @@ void ArgParser::parse(const std::vector<std::string>& args) {
   std::size_t positional_index = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << usage();
+      std::exit(0);
+    }
     if (strings::starts_with(arg, "--")) {
       std::string name = arg.substr(2);
       std::string value;
@@ -111,6 +117,7 @@ std::string ArgParser::usage() const {
     if (spec.default_value) os << " (default: " << *spec.default_value << ")";
     os << '\n';
   }
+  os << "  -h, --help: print this usage and exit\n";
   return os.str();
 }
 

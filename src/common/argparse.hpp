@@ -3,9 +3,9 @@
 /// \brief Tiny declarative argument parser for the `adept` CLI and benches.
 ///
 /// Supports `--flag`, `--key value`, `--key=value` and positional
-/// arguments; generates usage text. Deliberately minimal — no subcommand
-/// dispatch (the CLI handles that itself) and no type registry beyond
-/// string/double/int/bool.
+/// arguments; generates usage text, which `--help` / `-h` prints.
+/// Deliberately minimal — no subcommand dispatch (the CLI handles that
+/// itself) and no type registry beyond string/double/int/bool.
 
 #include <map>
 #include <optional>
@@ -29,7 +29,8 @@ class ArgParser {
                       std::optional<std::string> default_value = std::nullopt);
 
   /// Parses argv (excluding argv[0]); throws adept::Error on unknown or
-  /// malformed options.
+  /// malformed options. `--help` or `-h` anywhere before a parse error
+  /// prints usage() to stdout and exits the process with status 0.
   void parse(const std::vector<std::string>& args);
 
   bool has(const std::string& name) const;

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <set>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -31,8 +30,6 @@ class NodeSet {
   explicit NodeSet(std::vector<NodeId> ids) : ids_(std::move(ids)) {
     normalise();
   }
-  /// Compatibility with call sites that still build a std::set.
-  NodeSet(const std::set<NodeId>& ids) : ids_(ids.begin(), ids.end()) {}
 
   bool contains(NodeId id) const {
     return std::binary_search(ids_.begin(), ids_.end(), id);

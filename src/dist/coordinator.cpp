@@ -66,33 +66,15 @@ PlanResult Coordinator::plan(const PlanRequest& request) {
         options.excluded.clear();  // applied by plan_excluding already
         const plat::Partition partition =
             plat::partition_platform(platform, options.shards);
-        if (config_.streaming) {
-          auto plan_leaves =
-              [this, &platform, &r,
-               &options](const std::vector<std::vector<NodeId>>& leaves,
-                         const ShardResultSink& sink) {
-                dispatch_leaves(platform, r, options, leaves, sink);
-              };
-          return plan_sharded_streamed(platform, r.params, r.service, options,
-                                       partition, config_.stitch_fanout,
-                                       plan_leaves);
-        }
-        // Batch mode: park every shard plan until the fleet is fully
-        // drained (distinct indices — no lock needed), then stitch. A
-        // true barrier, kept as the A/B baseline for the streaming path.
         auto plan_leaves =
             [this, &platform, &r,
-             &options](const std::vector<std::vector<NodeId>>& leaves) {
-              std::vector<PlanResult> plans(leaves.size());
-              dispatch_leaves(platform, r, options, leaves,
-                              [&plans](std::size_t s, PlanResult plan) {
-                                plans[s] = std::move(plan);
-                              });
-              return plans;
+             &options](const std::vector<std::vector<NodeId>>& leaves,
+                       const ShardResultSink& sink) {
+              dispatch_leaves(platform, r, options, leaves, sink);
             };
-        return plan_sharded_with(platform, r.params, r.service, options,
-                                 partition, config_.stitch_fanout,
-                                 plan_leaves);
+        return plan_sharded_streamed(platform, r.params, r.service, options,
+                                     partition, config_.stitch_fanout,
+                                     plan_leaves);
       });
 }
 
@@ -148,9 +130,7 @@ void Coordinator::dispatch_leaves(
   for (std::size_t s = 0; s < leaves.size(); ++s) {
     if (!cached[s].has_value()) continue;
     PlanResult plan = std::move(*cached[s]);
-    const std::vector<NodeId>& ids = leaves[s];
-    for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-      plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
+    leaf_to_platform_ids(plan, leaves[s]);
     sink(s, std::move(plan));
   }
   if (pending.empty()) return;
@@ -206,14 +186,8 @@ void Coordinator::dispatch_leaves(
     // internally synchronised, so concurrent drain threads may insert.
     if (cache != nullptr)
       cache->insert(keys[s], *dispatch[k].request.platform, plan);
-    // Leaf hierarchies are in sub-platform ids (positions in `ids`);
-    // rewrite to platform ids for the shared stitch core.
-    for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-      plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
-    // Batch mode parks results in a vector — nothing reached the stitch
-    // early, so only streaming-mode drain-thread deliveries count.
-    if (config_.streaming && std::this_thread::get_id() != caller)
-      ++detail::counters().streamed;
+    leaf_to_platform_ids(plan, ids);
+    if (std::this_thread::get_id() != caller) ++detail::counters().streamed;
     sink(s, std::move(plan));
   };
 
@@ -222,9 +196,9 @@ void Coordinator::dispatch_leaves(
     // dispatch (the heartbeat and other coordinators wait), and the
     // per-round respawn pass heals any losses from earlier requests.
     FleetSupervisor::Lease lease = fleet_->lease();
-    lease.pool().run_streamed(dispatch, local_fallback, deliver);
+    lease.pool().run(dispatch, local_fallback, deliver);
   } else {
-    owned_pool_->run_streamed(dispatch, local_fallback, deliver);
+    owned_pool_->run(dispatch, local_fallback, deliver);
   }
 }
 

@@ -48,13 +48,6 @@ struct CoordinatorConfig {
   /// Registry planner each worker runs per leaf shard — "heuristic" is
   /// what the local sharded backend uses.
   std::string leaf_planner = "heuristic";
-  /// Stream shard responses into the stitch as workers answer (the
-  /// plan_sharded_streamed core): intermediate stitch groups run on the
-  /// drain threads while later shards are still being planned. Off =
-  /// collect the whole batch first (a true barrier — the A/B baseline
-  /// bench_dist measures streaming against). Both modes are
-  /// bit-identical by construction.
-  bool streaming = true;
 };
 
 /// Partitions requests, dispatches shards to workers, stitches results
@@ -82,9 +75,11 @@ class Coordinator {
               const PlannerRegistry& registry = PlannerRegistry::instance());
 
   /// Plans `request` bit-identically with the registry's "sharded"
-  /// planner. Honours demand, shards, excluded, verbose_trace, deadline
-  /// and cancellation exactly like any registry planner; throws
-  /// adept::Error on invalid requests or genuine planning failures.
+  /// planner, streaming shard responses into the stitch
+  /// (plan_sharded_streamed) as workers answer. Honours demand, shards,
+  /// excluded, verbose_trace, deadline and cancellation exactly like any
+  /// registry planner; throws adept::Error on invalid requests or
+  /// genuine planning failures.
   PlanResult plan(const PlanRequest& request);
 
   /// The underlying fleet (phase/health introspection). Owned pools

@@ -232,21 +232,9 @@ void WorkerPool::drain(Slot& slot, const std::vector<ShardJob>& jobs,
   }
 }
 
-std::vector<PlannerRun> WorkerPool::run(const std::vector<ShardJob>& jobs,
-                                        const LocalPlanFn& local_fallback) {
-  std::vector<PlannerRun> results(jobs.size());
-  // Distinct drain threads write distinct job indices of a pre-sized
-  // vector, so the collecting sink needs no lock.
-  run_streamed(jobs, local_fallback,
-               [&results](std::size_t id, PlannerRun&& run) {
-                 results[id] = std::move(run);
-               });
-  return results;
-}
-
-void WorkerPool::run_streamed(const std::vector<ShardJob>& jobs,
-                              const LocalPlanFn& local_fallback,
-                              const StreamResultFn& on_result) {
+void WorkerPool::run(const std::vector<ShardJob>& jobs,
+                     const LocalPlanFn& local_fallback,
+                     const StreamResultFn& on_result) {
   ADEPT_CHECK(local_fallback != nullptr,
               "worker pool needs a local fallback planner");
   ADEPT_CHECK(on_result != nullptr, "worker pool needs a result sink");

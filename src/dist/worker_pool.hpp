@@ -22,9 +22,10 @@
 /// are re-dispatched to the remaining healthy workers — bounded by
 /// `max_retries` rounds — and whatever still has no answer is planned
 /// in-process through the caller's fallback, so a batch never fails
-/// because of worker loss. Results are placed by job index, and failed
-/// jobs are re-dispatched and fallen back in ascending job order, so the
-/// output is deterministic whatever the failure/respawn timing.
+/// because of worker loss. Results are delivered tagged with their job
+/// index, and failed jobs are re-dispatched and fallen back in ascending
+/// job order, so the output is deterministic whatever the
+/// failure/respawn timing.
 ///
 /// Jobs carrying a deadline are drained against it: the per-response
 /// receive timeout is the *minimum* of `shard_timeout_ms` and the job's
@@ -106,36 +107,28 @@ class WorkerPool {
   /// returned PlannerRun, like PlanningService::execute does).
   using LocalPlanFn = std::function<PlannerRun(const ShardJob&)>;
 
-  /// Streaming delivery hook of run_streamed(): called exactly once per
-  /// job with the job's index and its final run — from a drain thread
-  /// the moment a worker's ok response is parsed (concurrently across
-  /// workers; the callee synchronises), or from the calling thread for
-  /// fallback results after the dispatch rounds. A throw from the
-  /// drain-thread path is treated as a worker failure (the job is
-  /// re-dispatched or falls back — it has NOT been delivered); a throw
-  /// from the fallback path propagates to the caller.
+  /// Delivery hook of run(): called exactly once per job with the job's
+  /// index and its final run — from a drain thread the moment a worker's
+  /// ok response is parsed (concurrently across workers; the callee
+  /// synchronises), or from the calling thread for fallback results
+  /// after the dispatch rounds. A throw from the drain-thread path is
+  /// treated as a worker failure (the job is re-dispatched or falls
+  /// back — it has NOT been delivered); a throw from the fallback path
+  /// propagates to the caller.
   using StreamResultFn = std::function<void(std::size_t, PlannerRun&&)>;
 
-  /// Runs every job; `results[i]` answers `jobs[i]`. Worker loss never
-  /// surfaces as a failure here — exhausted jobs go through
-  /// `local_fallback` (required non-null). A run with healthy workers
-  /// pipelines each worker's share and drains the workers concurrently,
-  /// one thread per dispatched worker. With respawn enabled, each
-  /// dispatch round starts by refilling failed slots whose backoff has
-  /// elapsed. (Collect-then-return wrapper over run_streamed().)
-  std::vector<PlannerRun> run(const std::vector<ShardJob>& jobs,
-                              const LocalPlanFn& local_fallback);
-
-  /// run() with completion-order delivery: every job's run is handed to
-  /// `on_result` as soon as it exists — worker responses straight off
-  /// their drain threads, while other workers are still planning —
-  /// instead of parking in a results vector until the whole batch
-  /// barrier. Retry, respawn, deadline clipping and fallback behave
-  /// exactly like run(); fallback results are delivered in ascending job
-  /// order from the calling thread after the dispatch rounds.
-  void run_streamed(const std::vector<ShardJob>& jobs,
-                    const LocalPlanFn& local_fallback,
-                    const StreamResultFn& on_result);
+  /// Runs every job and hands each job's run to `on_result` as soon as
+  /// it exists — worker responses straight off their drain threads,
+  /// while other workers are still planning. Worker loss never surfaces
+  /// as a failure here — exhausted jobs go through `local_fallback`
+  /// (required non-null), and fallback results are delivered in
+  /// ascending job order from the calling thread after the dispatch
+  /// rounds. A run with healthy workers pipelines each worker's share
+  /// and drains the workers concurrently, one thread per dispatched
+  /// worker. With respawn enabled, each dispatch round starts by
+  /// refilling failed slots whose backoff has elapsed.
+  void run(const std::vector<ShardJob>& jobs, const LocalPlanFn& local_fallback,
+           const StreamResultFn& on_result);
 
   /// Pings every non-failed worker with a `stats` command and fails the
   /// ones that do not answer ok within `health_timeout_ms`. A worker

@@ -4,9 +4,9 @@
 ///
 /// One value type describes every caching knob a PlanningService has:
 /// the whole-request plan cache, the shard-level sub-plan cache, and the
-/// single-flight coalescing front. It replaces the historical positional
-/// `cache_capacity` constructor parameter and travels everywhere a cache
-/// is configured — the PlanningService constructor, ServeConfig,
+/// single-flight coalescing front. It is the one cache-configuration
+/// surface and travels everywhere a cache is configured — the
+/// PlanningService constructor and set_cache_config(), ServeConfig,
 /// ReplanConfig, the `adept serve`/`plan`/`simulate` CLI flags, and the
 /// wire format (wire::to_json / wire::cache_config_from_json round-trip
 /// it; the serve `stats` response echoes the session's effective value).

@@ -21,7 +21,6 @@
 /// values are bit-identical to evaluate()'s, so every accept/stop
 /// decision matches the historical behaviour.
 
-#include <set>
 
 #include "common/error.hpp"
 #include "common/flat_set.hpp"
@@ -127,16 +126,6 @@ PlanResult improve_deployment(Hierarchy start, const Platform& platform,
   result.hierarchy = std::move(current);
   if (!options.verbose_trace) result.trace.clear();
   return result;
-}
-
-PlanResult improve_deployment(Hierarchy start, const Platform& platform,
-                              const MiddlewareParams& params,
-                              const ServiceSpec& service,
-                              const std::set<NodeId>* excluded) {
-  PlanOptions options;
-  if (excluded != nullptr) options.excluded = *excluded;
-  return improve_deployment(std::move(start), platform, params, service,
-                            options);
 }
 
 }  // namespace adept

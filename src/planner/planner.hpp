@@ -9,9 +9,7 @@
 /// resources among equal-throughput ones).
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -34,15 +32,6 @@ struct PlanResult {
   /// Platform nodes the plan deploys on (one element per node).
   std::size_t nodes_used() const { return hierarchy.size(); }
 };
-
-/// Signature shared by all planners (demand-aware ones bind the demand).
-///
-/// \deprecated New code addresses planners by name through PlannerRegistry
-/// (registry.hpp) and calls them with a PlanRequest; this alias and the
-/// free functions below are kept as thin compatibility wrappers for one
-/// release.
-using Planner = std::function<PlanResult(
-    const Platform&, const MiddlewareParams&, const ServiceSpec&)>;
 
 /// Star deployment: the node with the best (n-1)-child scheduling power
 /// becomes the lone agent; every other node is a server (§5.3's first
@@ -122,14 +111,7 @@ PlanResult plan_link_aware(const Platform& platform,
 PlanResult improve_deployment(Hierarchy start, const Platform& platform,
                               const MiddlewareParams& params,
                               const ServiceSpec& service,
-                              const PlanOptions& options);
-
-/// \deprecated Raw-pointer compatibility form; forwards the excluded set
-/// into PlanOptions. Kept for one release.
-PlanResult improve_deployment(Hierarchy start, const Platform& platform,
-                              const MiddlewareParams& params,
-                              const ServiceSpec& service,
-                              const std::set<NodeId>* excluded = nullptr);
+                              const PlanOptions& options = {});
 
 /// Convenience: evaluates and packages an externally built hierarchy.
 PlanResult make_plan(Hierarchy hierarchy, const Platform& platform,

@@ -77,13 +77,6 @@ PlanningService::PlanningService(std::size_t threads,
   shard_cache_.bind_metrics(*metrics_);
 }
 
-PlanningService::PlanningService(std::size_t threads,
-                                 const PlannerRegistry& registry,
-                                 std::size_t cache_capacity,
-                                 obs::MetricsRegistry* metrics)
-    : PlanningService(threads, registry, CacheConfig{cache_capacity, 0, true},
-                      metrics) {}
-
 ThreadPool& PlanningService::pool() {
   std::call_once(pool_once_, [this] {
     pool_ = std::make_unique<ThreadPool>(threads_);
@@ -186,11 +179,12 @@ void PlanningService::cache_finish(const std::string& key,
   if (evicted != 0) c_cache_evictions_->inc(evicted);
 }
 
-void PlanningService::set_cache_capacity(std::size_t capacity) {
+void PlanningService::set_cache_config(const CacheConfig& config) {
   std::uint64_t evicted = 0;
   {
-    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    cache_capacity_ = capacity;
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    cache_coalesce_ = config.coalesce;
+    cache_capacity_ = config.plan_capacity;
     while (cache_map_.size() > cache_capacity_) {
       cache_map_.erase(cache_lru_.back().key);
       cache_lru_.pop_back();
@@ -198,19 +192,6 @@ void PlanningService::set_cache_capacity(std::size_t capacity) {
     }
   }
   if (evicted != 0) c_cache_evictions_->inc(evicted);
-}
-
-std::size_t PlanningService::cache_capacity() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_capacity_;
-}
-
-void PlanningService::set_cache_config(const CacheConfig& config) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    cache_coalesce_ = config.coalesce;
-  }
-  set_cache_capacity(config.plan_capacity);
   shard_cache_.set_capacity(config.shard_capacity);
 }
 
@@ -247,7 +228,12 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
     // planning problem. Serialization is inside the try: an invalid
     // request (null platform, NaN demand) must land in run.error like
     // any planner failure — never escape into a pool worker.
-    if (cache_capacity() != 0) {
+    bool plan_cache_on = false;
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      plan_cache_on = cache_capacity_ != 0;
+    }
+    if (plan_cache_on) {
       cache_key = detail::fingerprint_digest(
           wire::request_fingerprint(request, planner));
       // Answered from the cache, coalesced onto an identical in-flight

@@ -250,13 +250,6 @@ class PlanningService {
                            CacheConfig cache = {},
                            obs::MetricsRegistry* metrics = nullptr);
 
-  /// \deprecated Positional plan-cache capacity form, kept one release
-  /// as a delegating overload: equivalent to CacheConfig{cache_capacity,
-  /// 0, true}. New code passes a CacheConfig.
-  PlanningService(std::size_t threads, const PlannerRegistry& registry,
-                  std::size_t cache_capacity,
-                  obs::MetricsRegistry* metrics = nullptr);
-
   PlanningService(const PlanningService&) = delete;             ///< Non-copyable.
   PlanningService& operator=(const PlanningService&) = delete;  ///< Non-copyable.
 
@@ -287,16 +280,10 @@ class PlanningService {
   PortfolioTicket submit_portfolio(PlanRequest request,
                                    std::vector<std::string> planners = {});
 
-  /// Resizes the plan cache; 0 disables and clears it. Shrinking evicts
-  /// least-recently-used entries (counted as evictions).
-  /// \deprecated Prefer set_cache_config(); this adjusts plan_capacity
-  /// only.
-  void set_cache_capacity(std::size_t capacity);
-  /// Current plan-cache capacity in entries (0 = caching disabled).
-  std::size_t cache_capacity() const;
-
   /// Applies a full cache configuration at runtime: plan-cache capacity
-  /// (shrinking evicts), shard-cache capacity, coalescing switch.
+  /// (0 disables and clears it; shrinking evicts least-recently-used
+  /// entries, counted as evictions), shard-cache capacity, coalescing
+  /// switch.
   void set_cache_config(const CacheConfig& config);
   /// The effective cache configuration.
   CacheConfig cache_config() const;

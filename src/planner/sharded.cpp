@@ -381,9 +381,7 @@ class StreamingStitch {
     StitchOutcome group =
         stitch_children(sub, params_, service_, group_options_,
                         node.children);
-    for (Hierarchy::Index e = 0; e < group.result.hierarchy.size(); ++e)
-      group.result.hierarchy.replace_node(
-          e, region[group.result.hierarchy.node_of(e)]);
+    leaf_to_platform_ids(group.result, region);
     group.result.trace.clear();
     return std::move(group.result);
   }
@@ -505,30 +503,17 @@ PlanResult plan_sharded(const Platform& platform,
   // (PlanOptions::shard_cache) each leaf is consulted/stored by content
   // in sub-platform-local ids, *before* the remap to platform ids — a
   // hit returns the stored result verbatim, so plans are bit-identical
-  // with or without the cache (ARCHITECTURE.md rule 8).
+  // with or without the cache (ARCHITECTURE.md rule 8). A one-shard
+  // partition takes the same path: the subset of every id compares equal
+  // to the platform, so its key, stored names and plan are the
+  // platform's own.
   auto plan_leaves = [&](const std::vector<std::vector<NodeId>>& leaves) {
     std::vector<PlanResult> plans(leaves.size());
     auto plan_one = [&](std::size_t s) {
       const std::vector<NodeId>& ids = leaves[s];
       ShardPlanCache* cache = options.shard_cache;
-      std::string key;
-      if (ids.size() == platform.size()) {
-        // The single-shard degenerate case plans the platform as-is
-        // (platform ids are the local ids, so no remap either way).
-        if (cache != nullptr) {
-          key = ShardPlanCache::key(platform, params, service, options,
-                                    kShardLeafPlanner);
-          if (std::optional<PlanResult> hit = cache->lookup(key)) {
-            plans[s] = std::move(*hit);
-            return;
-          }
-        }
-        plans[s] = plan_heterogeneous(platform, params, service,
-                                      options.demand, options.pool, &options);
-        if (cache != nullptr) cache->insert(key, platform, plans[s]);
-        return;
-      }
       const Platform sub = platform.subset(ids);
+      std::string key;
       std::optional<PlanResult> hit;
       if (cache != nullptr) {
         key = ShardPlanCache::key(sub, params, service, options,
@@ -541,9 +526,7 @@ PlanResult plan_sharded(const Platform& platform,
                                                  options.demand, options.pool,
                                                  &options);
       if (cache != nullptr && !hit.has_value()) cache->insert(key, sub, plan);
-      // Sub-platform ids are positions in `ids`; rewrite to platform ids.
-      for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-        plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
+      leaf_to_platform_ids(plan, ids);
       plans[s] = std::move(plan);
     };
     if (options.pool != nullptr && options.pool->thread_count() > 1 &&

@@ -61,6 +61,16 @@ inline constexpr const char* kShardLeafPlanner = "heuristic";
 using ShardLeafBatchFn = std::function<std::vector<PlanResult>(
     const std::vector<std::vector<NodeId>>&)>;
 
+/// The id convention at the leaf/stitch boundary: a leaf plan arrives in
+/// the local ids of `platform.subset(ids)` (positions in `ids`), the
+/// stitch consumes platform ids. Rewrites `plan` from the former to the
+/// latter in place.
+inline void leaf_to_platform_ids(PlanResult& plan,
+                                 const std::vector<NodeId>& ids) {
+  for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
+    plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
+}
+
 /// Per-shard completion sink of the streaming sharded core: called
 /// exactly once per leaf shard — from any thread, in any completion
 /// order — with the shard's index in the canonical partition and its

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <iostream>
 #include <set>
 
 #include "common/argparse.hpp"
@@ -255,6 +256,29 @@ TEST(ArgParse, RejectsUnknownOptionAndMissingPositional) {
   ArgParser parser2("prog");
   parser2.add_positional("input", "input file");
   EXPECT_THROW(parser2.parse({}), Error);
+}
+
+TEST(ArgParse, HelpPrintsUsageToStdoutAndExitsZero) {
+  // --help / -h win over a missing required positional and over options
+  // after them; the child routes stdout into stderr so the usage text is
+  // matchable.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* help : {"--help", "-h"}) {
+    ArgParser parser("prog", "does things");
+    parser.add_positional("input", "input file");
+    parser.add_option("count", "how many", "10");
+    EXPECT_EXIT(
+        {
+          std::cout.rdbuf(std::cerr.rdbuf());
+          parser.parse({help, "--bogus"});
+        },
+        ::testing::ExitedWithCode(0), "usage: prog <input>.*--count")
+        << help;
+  }
+  // Help is not a catch-all: an unknown option before it still fails.
+  ArgParser parser("prog");
+  EXPECT_THROW(parser.parse({"--bogus", "--help"}), Error);
+  EXPECT_NE(parser.usage().find("--help"), std::string::npos);
 }
 
 TEST(ArgParse, FlagRejectsValue) {

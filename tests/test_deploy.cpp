@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -199,7 +200,7 @@ TEST_P(PruneSweep, AlwaysValidMonotoneAndFailureFree) {
   const auto plan = plan_heterogeneous(platform, kParams, dgemm_service(310));
   const Hierarchy& h = plan.hierarchy;
 
-  std::set<NodeId> failed;
+  NodeSet failed;
   for (NodeId id = 0; id < platform.size(); ++id)
     if (rng.uniform() < 0.25) failed.insert(id);
 
@@ -209,7 +210,7 @@ TEST_P(PruneSweep, AlwaysValidMonotoneAndFailureFree) {
   EXPECT_LE(pruned->size(), h.size());
   for (NodeId node : pruned->used_nodes()) EXPECT_EQ(failed.count(node), 0u);
   // Monotonicity: failing one more node never enlarges the survivor.
-  std::set<NodeId> more = failed;
+  NodeSet more = failed;
   more.insert(pruned->used_nodes().back());
   const auto pruned_more = deploy::prune_failures(h, more);
   if (pruned_more.has_value())
@@ -278,8 +279,8 @@ TEST(Repair, RecruitSparesAfterFailures) {
   ASSERT_LT(plan.nodes_used(), platform.size());
 
   const auto servers = plan.hierarchy.servers();
-  const std::set<NodeId> failed{plan.hierarchy.node_of(servers[0]),
-                                plan.hierarchy.node_of(servers[1])};
+  const NodeSet failed{plan.hierarchy.node_of(servers[0]),
+                       plan.hierarchy.node_of(servers[1])};
   const auto pruned = deploy::prune_failures(plan.hierarchy, failed);
   ASSERT_TRUE(pruned.has_value());
   const auto degraded = model::evaluate(*pruned, platform, kParams, service);
@@ -296,7 +297,7 @@ TEST(Repair, RecruitSparesAfterFailures) {
 TEST(Repair, RootFailureIsUnrepairable) {
   const Platform platform = gen::homogeneous(9, 200.0, 1000.0);
   const Hierarchy h = sample();
-  const std::set<NodeId> failed{h.node_of(h.root())};
+  const NodeSet failed{h.node_of(h.root())};
   EXPECT_FALSE(
       deploy::repair(h, platform, failed, kParams, dgemm_service(310)).has_value());
 }

@@ -117,8 +117,7 @@ TEST(Dist, RecursiveStitchMatchesTheLocalCoreAtTheSameFanout) {
                                                dgemm_service(310),
                                                options.demand, nullptr,
                                                &options);
-          for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-            plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
+          leaf_to_platform_ids(plan, ids);
           plans.push_back(std::move(plan));
         }
         return plans;
@@ -156,8 +155,7 @@ std::vector<PlanResult> serial_leaf_plans(
     const Platform sub = platform.subset(ids);
     PlanResult plan = plan_heterogeneous(sub, kParams, dgemm_service(310),
                                          options.demand, nullptr, &options);
-    for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-      plan.hierarchy.replace_node(e, ids[plan.hierarchy.node_of(e)]);
+    leaf_to_platform_ids(plan, ids);
     plans.push_back(std::move(plan));
   }
   return plans;
@@ -271,32 +269,21 @@ TEST(Dist, StreamedMissingOrDuplicateDeliveryIsAnError) {
       Error);
 }
 
-TEST(Dist, BatchModeCoordinatorMatchesStreamingAndCountsNoStreamed) {
-  // --no-stream's A/B baseline: same plan bit for bit, but nothing may
-  // reach the stitch before the batch barrier — dist.streamed stays 0.
+TEST(Dist, CoordinatorStreamsIntoTheStitchAndMatchesSharded) {
+  // The coordinator's only path streams shard responses into the stitch
+  // as workers answer: same plan bit for bit as the local sharded
+  // planner, and deliveries do reach the stitch off the drain threads.
   const Platform platform = multi_cluster(160);
   const PlanResult sharded =
       run_planner("sharded", platform, dgemm_service(310));
   reset_stats_for_test();
-  {
-    InProcessTransport transport;
-    CoordinatorConfig config;
-    config.workers = 2;
-    config.streaming = false;
-    Coordinator coordinator(transport, config);
-    expect_identical(coordinator.plan(make_request(platform)), sharded,
-                     "batch-mode coordinator");
-    EXPECT_EQ(stats_snapshot().streamed, 0u);
-  }
-  {
-    InProcessTransport transport;
-    CoordinatorConfig config;
-    config.workers = 2;
-    Coordinator coordinator(transport, config);
-    expect_identical(coordinator.plan(make_request(platform)), sharded,
-                     "streaming coordinator");
-    EXPECT_GT(stats_snapshot().streamed, 0u);
-  }
+  InProcessTransport transport;
+  CoordinatorConfig config;
+  config.workers = 2;
+  Coordinator coordinator(transport, config);
+  expect_identical(coordinator.plan(make_request(platform)), sharded,
+                   "streaming coordinator");
+  EXPECT_GT(stats_snapshot().streamed, 0u);
 }
 
 // ----------------------------------------------------- fault injection --

@@ -317,12 +317,13 @@ TEST(PlanCache, CapacityZeroDisables) {
 TEST(PlanCache, SetCapacityShrinksAndDisables) {
   const Platform platform = small_platform(47);
   PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
-  EXPECT_EQ(service.cache_capacity(), 8u);
+  EXPECT_EQ(service.cache_config().plan_capacity, 8u);
   service.run(PlanRequest(platform, kParams, dgemm_service(100)), "star");
   service.run(PlanRequest(platform, kParams, dgemm_service(200)), "star");
-  service.set_cache_capacity(1);  // evicts one entry
+  service.set_cache_config(CacheConfig{1});  // evicts one entry
+  EXPECT_EQ(service.cache_config().plan_capacity, 1u);
   EXPECT_EQ(service.stats().cache_evictions, 1u);
-  service.set_cache_capacity(0);  // evicts the rest, disables
+  service.set_cache_config(CacheConfig{0});  // evicts the rest, disables
   EXPECT_EQ(service.stats().cache_evictions, 2u);
   const std::uint64_t misses = service.stats().cache_misses;
   service.run(PlanRequest(platform, kParams, dgemm_service(100)), "star");
@@ -359,24 +360,26 @@ TEST(PlanCache, VerboseAndQuietTraceAreDistinctEntries) {
   EXPECT_TRUE(service.run(quiet, "heuristic").result.trace.empty());
 }
 
-TEST(PlanCache, DeprecatedCapacityCtorMatchesCacheConfig) {
-  // The positional capacity overload must behave exactly like
-  // CacheConfig{capacity}: same effective policy, same hit behaviour.
+TEST(PlanCache, RuntimeCacheConfigMatchesConstructorConfig) {
+  // A CacheConfig applied at runtime through set_cache_config() must
+  // behave exactly like the same value passed to the constructor: same
+  // effective policy, same hit behaviour, same plans.
   const Platform platform = small_platform(59);
-  PlanningService legacy(1, PlannerRegistry::instance(), std::size_t{8});
   const CacheConfig expected{/*plan_capacity=*/8, /*shard_capacity=*/0,
                              /*coalesce=*/true};
-  EXPECT_EQ(legacy.cache_config(), expected);
-  EXPECT_EQ(legacy.cache_capacity(), 8u);
+  PlanningService runtime(1);
+  runtime.set_cache_config(expected);
+  EXPECT_EQ(runtime.cache_config(), expected);
+  EXPECT_EQ(runtime.cache_config().plan_capacity, 8u);
   const PlanRequest request(platform, kParams, dgemm_service(310));
-  EXPECT_FALSE(legacy.run(request, "heuristic").cached);
-  EXPECT_TRUE(legacy.run(request, "heuristic").cached);
+  EXPECT_FALSE(runtime.run(request, "heuristic").cached);
+  EXPECT_TRUE(runtime.run(request, "heuristic").cached);
 
-  PlanningService modern(1, PlannerRegistry::instance(), expected);
-  EXPECT_EQ(modern.cache_config(), legacy.cache_config());
-  expect_identical(modern.run(request, "heuristic").result,
-                   legacy.run(request, "heuristic").result,
-                   "CacheConfig ctor vs deprecated capacity ctor");
+  PlanningService constructed(1, PlannerRegistry::instance(), expected);
+  EXPECT_EQ(constructed.cache_config(), runtime.cache_config());
+  expect_identical(constructed.run(request, "heuristic").result,
+                   runtime.run(request, "heuristic").result,
+                   "constructor CacheConfig vs set_cache_config");
 }
 
 TEST(PlanCache, CoalesceOffPlansEveryMissIndependently) {

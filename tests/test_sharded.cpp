@@ -207,6 +207,41 @@ TEST(ShardCache, CachedPlansAreBitIdentical) {
   }
 }
 
+TEST(ShardCache, SingleShardPartitionMissesColdHitsWarmAndIsTheHeuristic) {
+  // A one-shard partition goes through the same leaf path as every other
+  // shard (its sub-platform is the whole platform): the cold run misses
+  // and fills, the warm run hits exactly once, and both are the
+  // heuristic's plan bit for bit behind the sharded trace header.
+  const Platform platform = multi_cluster(60);
+  plat::Partition partition;
+  partition.shards.emplace_back();
+  for (NodeId id = 0; id < platform.size(); ++id)
+    partition.shards.front().push_back(id);
+  const PlanResult heuristic =
+      plan_heterogeneous(platform, kParams, dgemm_service(310));
+  std::vector<std::string> expected_trace{
+      "sharded: single shard, planning monolithically"};
+  expected_trace.insert(expected_trace.end(), heuristic.trace.begin(),
+                        heuristic.trace.end());
+
+  ShardPlanCache cache(8);
+  PlanOptions options;
+  options.shard_cache = &cache;
+  const PlanResult cold = plan_with_pool(platform, 0, partition, options);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  const PlanResult warm = plan_with_pool(platform, 0, partition, options);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  for (const PlanResult* plan : {&cold, &warm}) {
+    EXPECT_EQ(plan->hierarchy, heuristic.hierarchy);
+    EXPECT_EQ(plan->report, heuristic.report);
+    EXPECT_EQ(plan->trace, expected_trace);
+  }
+}
+
 TEST(ShardCache, WarmHitsAreBitIdenticalForAnyThreadCount) {
   const Platform platform = multi_cluster(160);
   const plat::Partition partition = plat::partition_platform(platform, 0);
