@@ -23,6 +23,14 @@
 /// the uncached stream, and emits `sustained_speedup` + `hit_rate`
 /// into the trajectory for the CI gate.
 ///
+/// The cache-hit-1k arm measures what a plan-cache hit costs on a large
+/// request: one ~1000-node g5k-multi-cluster problem is planned cold
+/// through the sharded planner and then re-asked; every repeat is a
+/// hit, so its latency is the cache key, the LRU probe and the result
+/// copy. It emits `hit_p50_ms` and `hit_speedup` (cold ms / hit p50 ms)
+/// for the CI gate, which keeps the key off any path that rebuilds and
+/// dumps the request as a JSON tree.
+///
 /// The metrics arms measure the observability subsystem's overhead on
 /// the cache-off (real planning) workload: a service recording into an
 /// enabled registry vs one recording into a *disabled* registry (every
@@ -41,8 +49,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "io/wire.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -92,6 +102,62 @@ StreamResult run_stream(const Platform& platform,
   return out;
 }
 
+struct CacheHitResult {
+  std::size_t nodes = 0;
+  std::size_t hits = 0;
+  double cold_ms = 0.0;
+  std::uint64_t cold_evaluations = 0;
+  double hit_p50_ms = 0.0;
+  double hit_speedup() const { return cold_ms / hit_p50_ms; }
+};
+
+/// Plans one ~1000-node g5k-multi-cluster request cold, then re-asks it:
+/// every repeat must be a plan-cache hit returning the cold plan. The
+/// cold time is the median of a few plans, each on a fresh service, so
+/// one slow first plan (pool start-up, page faults) cannot skew the
+/// ratio the CI gate floors.
+CacheHitResult run_cache_hit(std::size_t jobs, std::uint64_t seed) {
+  constexpr std::size_t kNodes = 1000;
+  constexpr std::size_t kColdRuns = 5;
+  constexpr std::size_t kHits = 200;
+  const Platform platform =
+      gen::catalog_platform("g5k-multi-cluster", kNodes, seed);
+  const PlanRequest request(platform, bench::params(), dgemm_service(310));
+  const auto timed_run = [&request](PlanningService& service, double& ms) {
+    const auto start = std::chrono::steady_clock::now();
+    PlannerRun run = service.run(request, "sharded");
+    ms = std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+             .count();
+    ADEPT_CHECK(run.ok, "cache-hit-1k request failed: " + run.error);
+    return run;
+  };
+  CacheHitResult out;
+  out.nodes = platform.size();
+  out.hits = kHits;
+  std::unique_ptr<PlanningService> service;
+  PlannerRun cold;
+  std::vector<double> cold_ms(kColdRuns);
+  for (double& ms : cold_ms) {
+    service = std::make_unique<PlanningService>(
+        jobs, PlannerRegistry::instance(), CacheConfig{/*plan_capacity=*/4});
+    cold = timed_run(*service, ms);
+    ADEPT_CHECK(!cold.cached, "cache-hit-1k cold run was answered cached");
+  }
+  out.cold_ms = stats::percentile(std::move(cold_ms), 50.0);
+  out.cold_evaluations = cold.evaluations;
+  std::vector<double> hit_ms(kHits);
+  for (double& ms : hit_ms) {
+    const PlannerRun hit = timed_run(*service, ms);
+    ADEPT_CHECK(hit.cached && hit.result.hierarchy == cold.result.hierarchy &&
+                    hit.result.report == cold.result.report &&
+                    hit.result.trace == cold.result.trace,
+                "cache-hit-1k hit is not the cold plan");
+  }
+  out.hit_p50_ms = stats::percentile(std::move(hit_ms), 50.0);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,7 +189,8 @@ int main(int argc, char** argv) {
   const auto distinct = static_cast<std::size_t>(parser.get_int("distinct"));
   const auto repeats = static_cast<std::size_t>(parser.get_int("repeats"));
   const auto jobs = static_cast<std::size_t>(parser.get_int("jobs"));
-  Rng rng(static_cast<std::uint64_t>(parser.get_int("seed")));
+  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  Rng rng(seed);
   const Platform platform = gen::uniform(nodes, 200.0, 1400.0, 1000.0, rng);
 
   std::vector<ServiceSpec> services;
@@ -170,6 +237,13 @@ int main(int argc, char** argv) {
   bench::verdict("cache-on sustains >= 5x the cache-off request rate",
                  speedup >= 5.0);
   bench::verdict("cached plans are bit-identical to uncached ones", true);
+
+  const CacheHitResult hit = run_cache_hit(jobs, seed);
+  std::cout << "\ncache hit on a " << hit.nodes
+            << "-node g5k-multi-cluster request (sharded, " << hit.hits
+            << " hits): cold " << Table::num(hit.cold_ms, 2) << " ms, hit p50 "
+            << Table::num(hit.hit_p50_ms, 4) << " ms, speedup "
+            << Table::num(hit.hit_speedup(), 1) << "x\n";
 
   // ---- metrics instrumentation overhead: enabled vs disabled registry --
   // Interleaved rounds on the cache-off workload (every request actually
@@ -301,6 +375,11 @@ int main(int argc, char** argv) {
                  {"speedup", speedup},
                  {"cache_hits", static_cast<double>(on.stats.cache_hits)},
                  {"cache_misses", static_cast<double>(on.stats.cache_misses)}}});
+    writer.add({"cache-hit-1k", hit.nodes, hit.cold_ms, hit.cold_evaluations,
+                1000.0 / hit.hit_p50_ms,
+                {{"hits", static_cast<double>(hit.hits)},
+                 {"hit_p50_ms", hit.hit_p50_ms},
+                 {"hit_speedup", hit.hit_speedup()}}});
     writer.add({"metrics-off", nodes, best_moff.wall_ms,
                 best_moff.stats.evaluations, best_moff.requests_per_s,
                 {{"requests", static_cast<double>(distinct * repeats)}}});

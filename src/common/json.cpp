@@ -57,8 +57,7 @@ void write_number(double value, std::string& out) {
               "JSON cannot represent a non-finite number");
   char buffer[32];
   // Shortest representation that round-trips to the identical double —
-  // the property the wire round-trip tests and the canonical cache
-  // fingerprints depend on.
+  // the property the wire round-trip tests depend on.
   const auto result =
       std::to_chars(buffer, buffer + sizeof buffer, value);
   ADEPT_ASSERT(result.ec == std::errc(), "number formatting failed");

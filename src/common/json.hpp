@@ -3,15 +3,15 @@
 /// \brief Dependency-free JSON value type, parser and writer.
 ///
 /// The planning front door speaks JSON-lines (io/wire.hpp, `adept serve`),
-/// and the plan cache fingerprints requests by their canonical wire form —
-/// both need a small, exact JSON kernel rather than a third-party library:
+/// and the workers' answers must round-trip bit-exactly — both need a
+/// small, exact JSON kernel rather than a third-party library:
 ///
 ///   - Numbers are written with the shortest representation that parses
 ///     back to the identical double (std::to_chars), so
-///     parse(dump(x)) == x holds bit-for-bit and canonical dumps are
-///     stable fingerprint material. Non-finite numbers are rejected by
-///     the writer (JSON cannot carry them); wire.cpp encodes the one
-///     domain value that needs them (unlimited demand) symbolically.
+///     parse(dump(x)) == x holds bit-for-bit and dumps are canonical.
+///     Non-finite numbers are rejected by the writer (JSON cannot carry
+///     them); wire.cpp encodes the one domain value that needs them
+///     (unlimited demand) symbolically.
 ///   - Objects preserve insertion order, so a serializer that always
 ///     emits keys in one order produces one canonical byte string.
 ///   - The parser is strict (complete-input, no trailing garbage) and

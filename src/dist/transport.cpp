@@ -65,21 +65,21 @@ bool send_framed_line(int fd, const std::string& line, bool& alive) {
   return true;
 }
 
-/// The shared receive loop of the pipe and socket workers. One absolute
-/// deadline for the whole receive: every retry — poll() slices, EINTR on
-/// poll() or read(), partial-line reads from a dribbling writer —
-/// re-checks this instant; nothing restarts the budget, so a receive(t)
-/// returns within ~t no matter how the bytes arrive. EOF and read errors
-/// clear `alive`; a timeout leaves it set (the pool decides the peer is
-/// hung and kills it).
+}  // namespace
+
 bool receive_framed_line(int fd, std::string& buffer, std::string& line,
                          double timeout_ms, bool& alive) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(
           static_cast<long long>(std::max(0.0, timeout_ms) * 1000.0));
+  // Bytes before `scanned` are known to hold no newline: each read only
+  // scans what it appended, so a long line costs O(length), not
+  // O(length^2 / chunk).
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', scanned);
+    scanned = buffer.size();
     if (newline != std::string::npos) {
       line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
@@ -119,6 +119,8 @@ bool receive_framed_line(int fd, std::string& buffer, std::string& line,
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
+
+namespace {
 
 // ------------------------------------------------------------- in-process --
 

@@ -187,4 +187,17 @@ std::vector<std::string> self_serve_command(std::size_t jobs = 1);
 std::vector<std::string> self_serve_listen_command(
     std::size_t jobs = 1, std::size_t max_sessions = 0);
 
+/// The shared receive loop of the pipe and socket workers: moves the
+/// next '\n'-terminated line (terminator stripped) from `buffer` + reads
+/// of `fd` into `line`, leaving any bytes after it in `buffer` for the
+/// next call. One absolute deadline for the whole receive: every retry —
+/// poll() slices, EINTR on poll() or read(), partial-line reads from a
+/// dribbling writer — re-checks this instant; nothing restarts the
+/// budget, so a receive(t) returns within ~t no matter how the bytes
+/// arrive. Each read scans only the bytes it appended, so a line of L
+/// bytes costs O(L). EOF and read errors clear `alive`; a timeout leaves
+/// it set (the pool decides the peer is hung and kills it).
+bool receive_framed_line(int fd, std::string& buffer, std::string& line,
+                         double timeout_ms, bool& alive);
+
 }  // namespace adept::dist

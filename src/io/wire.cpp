@@ -525,14 +525,4 @@ sim::ScenarioRecording recording_from_json(const json::Value& value) {
   return out;
 }
 
-// ------------------------------------------------------------- fingerprint --
-
-std::string request_fingerprint(const PlanRequest& request,
-                                const std::string& planner) {
-  json::Value key = json::Value::object();
-  key.set("planner", planner);
-  key.set("request", to_json(request));
-  return key.dump();
-}
-
 }  // namespace adept::wire

@@ -11,8 +11,9 @@
 ///
 /// Conventions:
 ///   - serializers always emit keys in one fixed order, so dump() of a
-///     serialized value is a canonical byte string — request_fingerprint()
-///     keys the PlanningService's plan cache on exactly that string;
+///     serialized value is a canonical byte string (the plan cache's
+///     typed key, detail::request_key, is pinned to distinguish requests
+///     exactly as these strings do);
 ///   - unlimited demand is encoded as the string "unlimited" (JSON has no
 ///     infinity); any finite demand is a plain number;
 ///   - PlanOptions' runtime-only fields (deadline, cancel token, pool) do
@@ -98,14 +99,5 @@ sim::Scenario scenario_from_json(const json::Value& value);
 
 json::Value to_json(const sim::ScenarioRecording& recording);
 sim::ScenarioRecording recording_from_json(const json::Value& value);
-
-/// Canonical cache key: the compact dump of {planner, platform, params,
-/// service, options}. Options' runtime-only fields are excluded (a
-/// deadline does not change the plan, only whether it is computed), so
-/// re-asking with a fresh deadline hits the cache. Two requests get the
-/// same fingerprint iff they are the same planning problem for the same
-/// planner on a content-identical platform.
-std::string request_fingerprint(const PlanRequest& request,
-                                const std::string& planner);
 
 }  // namespace adept::wire

@@ -20,11 +20,12 @@ namespace adept {
 
 /// Caching configuration of a PlanningService (see planning_service.hpp
 /// for the cache contracts). Both caches are content-addressed through
-/// the canonical wire fingerprint, so a hit is bit-identical to a
-/// recompute; capacities of 0 disable the respective cache.
+/// the typed request key (detail::request_key), so a hit is
+/// bit-identical to a recompute; capacities of 0 disable the respective
+/// cache.
 struct CacheConfig {
-  /// Whole-request plan cache: bounded LRU keyed by the canonical
-  /// (planner, request) fingerprint. 0 disables it.
+  /// Whole-request plan cache: bounded LRU keyed by the typed
+  /// (planner, request) key. 0 disables it.
   std::size_t plan_capacity = 0;
   /// Shard-level sub-plan cache (planner/shard_cache.hpp): bounded LRU
   /// of per-shard leaf plans, consulted inside the sharded/distributed

@@ -5,11 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-// The cache key is produced by the io layer's canonical serializer — a
-// deliberate .cpp-local upward reference: planner and io ship as one
-// static library (libadept), and hand-rolling a second canonical
-// encoding down here would just be a drift hazard.
-#include "io/wire.hpp"
 #include "model/evaluate.hpp"
 #include "model/hetero_comm.hpp"
 
@@ -222,20 +217,19 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
   const auto start = std::chrono::steady_clock::now();
   std::string cache_key;
   try {
-    // Consult the plan cache before spending planner time. The
-    // fingerprint covers platform content + params + service +
-    // plan-relevant options, so a hit is guaranteed to be the same
-    // planning problem. Serialization is inside the try: an invalid
-    // request (null platform, NaN demand) must land in run.error like
-    // any planner failure — never escape into a pool worker.
+    // Consult the plan cache before spending planner time. The key
+    // covers platform content + params + service + plan-relevant
+    // options, so a hit is guaranteed to be the same planning problem.
+    // Keying is inside the try: an invalid request (null platform, NaN
+    // demand) must land in run.error like any planner failure — never
+    // escape into a pool worker.
     bool plan_cache_on = false;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
       plan_cache_on = cache_capacity_ != 0;
     }
     if (plan_cache_on) {
-      cache_key = detail::fingerprint_digest(
-          wire::request_fingerprint(request, planner));
+      cache_key = detail::request_key(request, planner);
       // Answered from the cache, coalesced onto an identical in-flight
       // job, or stopped while waiting; otherwise this job is the leader
       // for the key and must publish its outcome via cache_finish below.

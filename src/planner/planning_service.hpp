@@ -17,14 +17,15 @@
 /// A stats sink accumulates job counts, failures, wall time, model
 /// evaluations and plan-cache traffic across the service's lifetime.
 ///
-/// Plan cache: an optional bounded LRU keyed by the canonical wire-format
-/// fingerprint of (planner, request) — see wire::request_fingerprint.
-/// The key covers the full platform *content*, the middleware parameters,
-/// the service and every plan-relevant option, so a platform edited in
-/// place (add_node / set_link) fingerprints differently and stale entries
-/// simply age out; runtime-only options (deadline, cancel token, pool) do
-/// not affect the key. Only successful runs are cached. Capacity 0 (the
-/// default) disables caching entirely.
+/// Plan cache: an optional bounded LRU keyed by a 128-bit digest of the
+/// typed request fields of (planner, request) — see detail::request_key;
+/// process-local, never sent on the wire. The key covers the full
+/// platform *content*, the middleware parameters, the service and every
+/// plan-relevant option, so a platform edited in place (add_node /
+/// set_link) keys differently and stale entries simply age out;
+/// runtime-only options (deadline, cancel token, pool) do not affect the
+/// key. Only successful runs are cached. Capacity 0 (the default)
+/// disables caching entirely.
 ///
 /// Identical *concurrent* requests are single-flighted: the first job to
 /// miss on a key becomes the leader and plans; followers that arrive
@@ -357,8 +358,8 @@ class PlanningService {
   std::atomic<std::size_t> pending_jobs_{0};
 
   /// LRU plan cache: list front = most recent; map points into the list.
-  /// Keys are 16-byte digests of the canonical request fingerprint, so
-  /// per-entry key storage is O(1) regardless of platform size.
+  /// Keys are 16-byte digests of the typed request (detail::request_key),
+  /// so per-entry key storage is O(1) regardless of platform size.
   struct CacheEntry {
     std::string key;
     PlanResult result;

@@ -104,7 +104,7 @@ struct PlanOptions {
   /// Optional shard-level plan cache (planner/shard_cache.hpp) the
   /// sharded/distributed planners' leaf path consults. Not owned, may be
   /// null; the PlanningService plumbs its own cache in. Runtime-only
-  /// like `pool` — it never travels on the wire or enters a fingerprint,
+  /// like `pool` — it never travels on the wire or enters a cache key,
   /// and by the cache's determinism contract results are bit-identical
   /// with or without one.
   ShardPlanCache* shard_cache = nullptr;

@@ -1,33 +1,112 @@
 #include "planner/shard_cache.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string_view>
 #include <utility>
 
-// The key is produced by the io layer's canonical serializer — the same
-// deliberate .cpp-local upward reference planning_service.cpp makes:
-// planner and io ship as one static library (libadept), and a second
-// hand-rolled canonical encoding down here would be a drift hazard.
-#include "io/wire.hpp"
+#include "common/error.hpp"
 #include "obs/metrics.hpp"
 
 namespace adept {
 
 namespace detail {
 
-std::string fingerprint_digest(const std::string& canonical) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h1 = 14695981039346656037ull;  // FNV offset basis
-  std::uint64_t h2 = 0x9e3779b97f4a7c15ull;    // independent basis
-  for (const unsigned char c : canonical) {
-    h1 = (h1 ^ c) * kPrime;
-    h2 = (h2 ^ (c ^ 0x5bu)) * kPrime;
+namespace {
+
+/// Two independent FNV-1a streams over the key's byte encoding. Every
+/// field is fixed-width or length-prefixed, so the encoding is
+/// injective: no two distinct field sequences feed the same bytes.
+class KeyHasher {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    constexpr std::uint64_t kPrime = 1099511628211ull;
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h1_ = (h1_ ^ p[i]) * kPrime;
+      h2_ = (h2_ ^ (p[i] ^ 0x5bu)) * kPrime;
+    }
   }
-  std::string key(16, '\0');
-  for (int i = 0; i < 8; ++i) {
-    key[i] = static_cast<char>(h1 >> (8 * i));
-    key[8 + i] = static_cast<char>(h2 >> (8 * i));
+
+  void tag(unsigned char value) { bytes(&value, 1); }
+
+  void integer(std::uint64_t value) {
+    unsigned char le[8];
+    for (int i = 0; i < 8; ++i)
+      le[i] = static_cast<unsigned char>(value >> (8 * i));
+    bytes(le, sizeof le);
   }
-  return key;
+
+  /// The exact bits, so -0.0 and 0.0 differ like their wire dumps do.
+  /// Non-finite numbers fail with the wire encoder's error.
+  void number(double value) {
+    ADEPT_CHECK(std::isfinite(value),
+                "JSON cannot represent a non-finite number");
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    integer(bits);
+  }
+
+  void text(std::string_view value) {
+    integer(value.size());
+    bytes(value.data(), value.size());
+  }
+
+  void costs(const ElementCosts& row) {
+    for (const double value :
+         {row.wreq, row.wfix, row.wsel, row.wpre, row.sreq, row.srep})
+      number(value);
+  }
+
+  std::string digest() const {
+    std::string key(16, '\0');
+    for (int i = 0; i < 8; ++i) {
+      key[i] = static_cast<char>(h1_ >> (8 * i));
+      key[8 + i] = static_cast<char>(h2_ >> (8 * i));
+    }
+    return key;
+  }
+
+ private:
+  std::uint64_t h1_ = 14695981039346656037ull;  // FNV offset basis
+  std::uint64_t h2_ = 0x9e3779b97f4a7c15ull;    // independent basis
+};
+
+}  // namespace
+
+std::string request_key(const PlanRequest& request,
+                        const std::string& planner) {
+  ADEPT_CHECK(request.platform != nullptr, "PlanRequest has no platform");
+  const Platform& platform = *request.platform;
+  KeyHasher hash;
+  hash.text(planner);
+  hash.number(platform.bandwidth());
+  hash.integer(platform.size());
+  for (const NodeSpec& node : platform.nodes()) {
+    hash.text(node.name);
+    hash.number(node.power);
+    // The wire omits a zero link, so -0.0 and 0.0 are both "no link".
+    hash.number(node.link != 0.0 ? node.link : 0.0);
+  }
+  hash.costs(request.params.agent);
+  hash.costs(request.params.server);
+  hash.text(request.service.name);
+  hash.number(request.service.wapp);
+  const PlanOptions& options = request.options;
+  // +inf travels as "unlimited"; -inf and NaN are unencodable.
+  if (std::isinf(options.demand) && options.demand > 0.0) {
+    hash.tag(1);
+  } else {
+    hash.tag(0);
+    hash.number(options.demand);
+  }
+  hash.integer(options.degree);
+  hash.integer(options.shards);
+  hash.integer(options.excluded.size());
+  for (const NodeId id : options.excluded) hash.integer(id);
+  hash.tag(options.verbose_trace ? 1 : 0);
+  return hash.digest();
 }
 
 }  // namespace detail
@@ -47,8 +126,7 @@ std::string ShardPlanCache::key(const Platform& shard_platform,
   leaf_options.verbose_trace = options.verbose_trace;
   const PlanRequest leaf(shard_platform, params, service,
                          std::move(leaf_options));
-  return detail::fingerprint_digest(
-      wire::request_fingerprint(leaf, leaf_planner));
+  return detail::request_key(leaf, leaf_planner);
 }
 
 std::optional<PlanResult> ShardPlanCache::lookup(const std::string& key) {

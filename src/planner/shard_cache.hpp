@@ -12,15 +12,14 @@
 /// sub-platform content plus the effective planning options — which is
 /// exactly what makes shard-granular memoization sound.
 ///
-/// Keys reuse the wire format's canonical request fingerprint
-/// (wire::request_fingerprint) over the *leaf* planning problem: the
-/// shard sub-platform by content, the middleware parameters, the service,
-/// the leaf planner's name, and the wire-travelling options the leaf path
-/// actually forwards (demand, trace switch). Runtime-only knobs
-/// (deadline, cancel token, pool — and this cache itself) are excluded,
-/// so re-asking under a fresh budget hits. The digest is the same
-/// 128-bit dual-FNV construction the plan cache uses, so per-entry key
-/// storage is O(1) however large the shard is.
+/// Keys reuse the plan cache's typed request key (detail::request_key)
+/// over the *leaf* planning problem: the shard sub-platform by content,
+/// the middleware parameters, the service, the leaf planner's name, and
+/// the wire-travelling options the leaf path actually forwards (demand,
+/// trace switch). Runtime-only knobs (deadline, cancel token, pool — and
+/// this cache itself) are excluded, so re-asking under a fresh budget
+/// hits. The key is a 128-bit digest, so per-entry key storage is O(1)
+/// however large the shard is.
 ///
 /// Values are the leaf PlanResult in *sub-platform-local* node ids (the
 /// form the leaf planner produces before the sharded core remaps to
@@ -68,10 +67,26 @@ class Counter;
 }  // namespace obs
 
 namespace detail {
-/// 128-bit digest (two independent FNV-1a streams) of a canonical
-/// fingerprint string, packed into a 16-byte key. Shared by the plan
-/// cache and the shard cache so the two key constructions cannot drift.
-std::string fingerprint_digest(const std::string& canonical);
+/// The one cache key of a planning problem: a 128-bit digest (two
+/// independent FNV-1a streams, packed into 16 bytes) of the typed request
+/// fields in a fixed order — planner name; bandwidth and node count; per
+/// node its length-prefixed name, power and link; both ElementCosts rows;
+/// service name and wapp; demand (tagged when unlimited), degree, shards,
+/// the count-prefixed excluded ids and verbose_trace. Runtime-only
+/// options (deadline, cancel token, pool, shard cache) are not read, so
+/// re-asking under a fresh budget gives the same key.
+///
+/// Contract (digest collisions aside): two requests get the same key
+/// exactly when their canonical wire dumps (wire::to_json) for the same
+/// planner are equal — a link of 0 is "no link" whatever its sign, as on
+/// the wire, while -0.0 and 0.0 elsewhere stay distinct. Integer fields
+/// are hashed as integers, so above 2^53 (where the wire's JSON double
+/// collapses neighbours) the key is finer than the dump. A request the
+/// wire cannot encode (null platform, NaN or -inf demand, any other
+/// non-finite number) throws adept::Error, as the wire encoder does.
+/// Keys are process-local and never leave it. Shared by the plan cache
+/// and the shard cache.
+std::string request_key(const PlanRequest& request, const std::string& planner);
 }  // namespace detail
 
 /// Bounded LRU of shard leaf plans (see the file comment for the full
@@ -97,7 +112,7 @@ class ShardPlanCache {
   ShardPlanCache(const ShardPlanCache&) = delete;             ///< Non-copyable.
   ShardPlanCache& operator=(const ShardPlanCache&) = delete;  ///< Non-copyable.
 
-  /// Canonical key of one leaf shard problem: the fingerprint digest of
+  /// Key of one leaf shard problem: detail::request_key of
   /// {leaf_planner, shard sub-platform, params, service, leaf options}.
   /// Only the options the leaf path forwards enter the key — demand and
   /// the trace switch — exactly the fields Coordinator::dispatch_leaves

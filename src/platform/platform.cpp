@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -11,7 +12,10 @@ namespace adept {
 Platform::Platform(std::vector<NodeSpec> nodes, MbitRate bandwidth)
     : nodes_(std::move(nodes)), bandwidth_(bandwidth) {
   ADEPT_CHECK(bandwidth_ > 0.0, "platform bandwidth must be positive");
-  std::set<std::string> names;
+  // Views into nodes_, which is not resized below: one hash probe per
+  // node, no string copies. The first repeat in input order is reported.
+  std::unordered_set<std::string_view> names;
+  names.reserve(nodes_.size());
   for (const auto& node : nodes_) {
     validate_node(node);
     ADEPT_CHECK(names.insert(node.name).second,

@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/stats.hpp"
@@ -583,6 +585,44 @@ TEST(Dist, DribblingWriterCannotRestartTheReceiveTimeout) {
           .count();
   EXPECT_GE(elapsed_ms, 250.0);
   EXPECT_LT(elapsed_ms, 10000.0);
+}
+
+TEST(Dist, FramedReceiveReassemblesAMultiMebibyteLine) {
+  // A 4 MiB line dribbled through a pipe in 1000-byte writes, then a
+  // short line and the first bytes of a third: the receive loop returns
+  // both lines byte-exact and leaves the unterminated tail in the buffer.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::mt19937 rng(29);
+  std::uniform_int_distribution<int> printable(0x20, 0x7e);
+  std::string big(std::size_t{4} << 20, ' ');
+  for (char& c : big) c = static_cast<char>(printable(rng));
+  const std::string tail = "{\"id\":";
+  const std::string stream = big + '\n' + "short" + '\n' + tail;
+  std::thread writer([&stream, fd = fds[1]] {
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::size_t size = std::min<std::size_t>(1000, stream.size() - at);
+      const ssize_t n = ::write(fd, stream.data() + at, size);
+      if (n <= 0) break;
+      at += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  std::string buffer;
+  std::string line;
+  bool alive = true;
+  EXPECT_TRUE(receive_framed_line(fds[0], buffer, line, 60000.0, alive));
+  EXPECT_EQ(line.size(), big.size());
+  EXPECT_TRUE(line == big);
+  EXPECT_TRUE(receive_framed_line(fds[0], buffer, line, 60000.0, alive));
+  EXPECT_EQ(line, "short");
+  // The writer closes after the tail: EOF ends the receive with the
+  // unterminated bytes still buffered for the caller.
+  EXPECT_FALSE(receive_framed_line(fds[0], buffer, line, 60000.0, alive));
+  EXPECT_FALSE(alive);
+  EXPECT_EQ(buffer, tail);
+  writer.join();
+  ::close(fds[0]);
 }
 
 TEST(Dist, SharedFleetStaysWarmAcrossRegistryPlans) {

@@ -22,6 +22,22 @@ TEST(Platform, ConstructionValidates) {
   EXPECT_THROW(Platform({{"a", 1.0}, {"a", 2.0}}, 1000.0), Error);  // dup name
 }
 
+TEST(Platform, DuplicateNameErrorNamesTheFirstRepeat) {
+  // Two different names repeat; the error names the one whose second
+  // occurrence comes first in input order ("b" at index 3), not the
+  // one that sorts first or repeats first by first occurrence ("a").
+  try {
+    Platform({{"a", 1.0}, {"b", 1.0}, {"c", 1.0}, {"b", 2.0}, {"a", 2.0}},
+             1000.0);
+    FAIL() << "expected a duplicate-name error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("duplicate node name 'b'"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("'a'"), std::string::npos) << what;
+  }
+}
+
 TEST(Platform, AddNodeRejectsDuplicates) {
   Platform platform({{"a", 100.0}}, 1000.0);
   EXPECT_EQ(platform.add_node({"b", 200.0}), 1u);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -331,8 +332,8 @@ TEST(PlanCache, SetCapacityShrinksAndDisables) {
 }
 
 TEST(PlanCache, InvalidRequestsFailTheRunNotTheProcess) {
-  // With the cache on, the fingerprint serializes the request before
-  // planning; a null platform (or NaN demand) must surface as run.error
+  // With the cache on, the request is keyed before planning; a null
+  // platform (or NaN demand) must surface as run.error
   // — on the submit() path an escaping throw would terminate() the pool.
   PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
   const PlannerRun direct = service.run(PlanRequest{}, "heuristic");
@@ -344,6 +345,36 @@ TEST(PlanCache, InvalidRequestsFailTheRunNotTheProcess) {
   EXPECT_EQ(service.stats().failures, 2u);
 }
 
+TEST(PlanCache, UnencodableNumbersFailTheRunWithTheWireError) {
+  // The typed cache key applies the wire encoder's finiteness check: a
+  // NaN or -inf demand, or a NaN wapp, fails the run with the encoder's
+  // error on both the synchronous and the ticket path.
+  const Platform platform = small_platform(61);
+  PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
+  PlanRequest nan_demand(platform, kParams, dgemm_service(310));
+  nan_demand.options.demand = std::numeric_limits<double>::quiet_NaN();
+  PlanRequest negative_infinite_demand(platform, kParams, dgemm_service(310));
+  negative_infinite_demand.options.demand = -kUnlimitedDemand;
+  PlanRequest nan_wapp(platform, kParams, dgemm_service(310));
+  nan_wapp.service.wapp = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t failures = 0;
+  for (const PlanRequest& request :
+       {nan_demand, negative_infinite_demand, nan_wapp}) {
+    const PlannerRun direct = service.run(request, "heuristic");
+    const PlannerRun async = service.submit(request, "heuristic").wait();
+    failures += 2;
+    for (const PlannerRun& run : {direct, async}) {
+      EXPECT_FALSE(run.ok);
+      EXPECT_FALSE(run.skipped);
+      EXPECT_NE(run.error.find("JSON cannot represent a non-finite number"),
+                std::string::npos)
+          << run.error;
+    }
+  }
+  EXPECT_EQ(service.stats().failures, failures);
+  EXPECT_EQ(service.stats().cache_misses, 0u);  // never got as far as a probe
+}
+
 TEST(PlanCache, VerboseAndQuietTraceAreDistinctEntries) {
   const Platform platform = small_platform(53);
   PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
@@ -352,7 +383,7 @@ TEST(PlanCache, VerboseAndQuietTraceAreDistinctEntries) {
   quiet.options.verbose_trace = false;
   const PlannerRun loud = service.run(verbose, "heuristic");
   const PlannerRun silent = service.run(quiet, "heuristic");
-  EXPECT_FALSE(silent.cached);  // different fingerprint
+  EXPECT_FALSE(silent.cached);  // different cache key
   EXPECT_FALSE(loud.result.trace.empty());
   EXPECT_TRUE(silent.result.trace.empty());
   // And each repeat hits its own entry with the right trace shape.

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "io/wire.hpp"
 #include "planner/planning_service.hpp"
+#include "planner/shard_cache.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
 
@@ -71,7 +72,7 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   object.set("alpha", 2);
   EXPECT_EQ(object.dump(), "{\"zebra\":1,\"alpha\":2}");
   // set() on an existing key replaces in place, keeping the order (the
-  // canonical-form property the cache fingerprint relies on).
+  // canonical-form property: one key order, one byte string).
   object.set("zebra", 3);
   EXPECT_EQ(object.dump(), "{\"zebra\":3,\"alpha\":2}");
 }
@@ -304,29 +305,34 @@ TEST(Wire, RequestRoundTripsWithOwningPlatform) {
   EXPECT_EQ(borrowed.platform.use_count(), 0);
 }
 
-// -------------------------------------------------------------- fingerprint --
+// ------------------------------------------------------------- request key --
 
-TEST(Wire, FingerprintIsCanonicalAndDiscriminating) {
+TEST(Wire, RequestKeyIsStableAndDiscriminating) {
   Rng rng(5);
   const Platform platform = gen::uniform(12, 200.0, 1200.0, kB, rng);
   const PlanRequest request(platform, kParams, dgemm_service(310));
-  const std::string base = wire::request_fingerprint(request, "heuristic");
-  // Same problem, fresh copies → same fingerprint.
+  const std::string base = detail::request_key(request, "heuristic");
+  EXPECT_EQ(base.size(), 16u);
+  // Same problem, fresh copies → same key; likewise after a wire round
+  // trip, which rebuilds every field from the document.
   PlanRequest again(platform, kParams, dgemm_service(310));
-  EXPECT_EQ(wire::request_fingerprint(again, "heuristic"), base);
+  EXPECT_EQ(detail::request_key(again, "heuristic"), base);
+  const PlanRequest round =
+      wire::request_from_json(json::parse(wire::to_json(request).dump()));
+  EXPECT_EQ(detail::request_key(round, "heuristic"), base);
   // Runtime-only options (deadline) do not change the key.
   again.options.deadline =
       std::chrono::steady_clock::now() + std::chrono::hours(1);
-  EXPECT_EQ(wire::request_fingerprint(again, "heuristic"), base);
+  EXPECT_EQ(detail::request_key(again, "heuristic"), base);
   // Planner, platform content, and plan-relevant options all do.
-  EXPECT_NE(wire::request_fingerprint(request, "star"), base);
+  EXPECT_NE(detail::request_key(request, "star"), base);
   PlanRequest different(platform, kParams, dgemm_service(310));
   different.options.demand = 10.0;
-  EXPECT_NE(wire::request_fingerprint(different, "heuristic"), base);
+  EXPECT_NE(detail::request_key(different, "heuristic"), base);
   Platform edited = platform;
   edited.set_link(0, 10.0);
   const PlanRequest edited_request(edited, kParams, dgemm_service(310));
-  EXPECT_NE(wire::request_fingerprint(edited_request, "heuristic"), base);
+  EXPECT_NE(detail::request_key(edited_request, "heuristic"), base);
 }
 
 // ---------------------------------------------------- randomized corpus --
@@ -382,7 +388,7 @@ json::Value random_value(std::mt19937& rng, int depth) {
 
 TEST(Json, RandomDocumentsRoundTripExactly) {
   // parse(dump(x)) ≡ x for 300 random documents: the canonical-form
-  // property every cache fingerprint and wire hop relies on.
+  // property every wire hop relies on.
   std::mt19937 rng(20080615);
   for (int i = 0; i < 300; ++i) {
     const json::Value value = random_value(rng, 4);
@@ -391,28 +397,266 @@ TEST(Json, RandomDocumentsRoundTripExactly) {
   }
 }
 
+/// One request of the randomized wire corpus: a random uniform platform
+/// (some nodes with their own link), random demand/excluded/shards/trace.
+PlanRequest random_wire_request(std::mt19937& seeds) {
+  Rng rng(seeds());
+  const std::size_t count = 2 + (seeds() % 30);
+  std::vector<NodeSpec> nodes =
+      gen::uniform(count, 100.0, 1500.0, kB, rng).nodes();
+  for (NodeSpec& node : nodes)
+    if (seeds() % 4 == 0) node.link = 10.0 + (seeds() % 2000);
+  PlanRequest request(std::make_shared<const Platform>(std::move(nodes), kB),
+                      kParams, dgemm_service(310));
+  if (seeds() % 2 == 0) request.options.demand = 1.0 + (seeds() % 1000);
+  if (seeds() % 3 == 0) request.options.excluded = {0};
+  request.options.shards = seeds() % 5;
+  request.options.verbose_trace = seeds() % 2 == 0;
+  return request;
+}
+
 TEST(Wire, RandomRequestsRoundTripBitExactly) {
   // Full wire PlanRequests over random platforms/options: the document
-  // must round-trip to an equal request AND an identical fingerprint —
+  // must round-trip to an equal request AND an identical cache key —
   // the property that makes worker answers cache-compatible.
   std::mt19937 seeds(7);
   for (int i = 0; i < 20; ++i) {
-    Rng rng(seeds());
-    const std::size_t nodes = 2 + (seeds() % 30);
-    const Platform platform = gen::uniform(nodes, 100.0, 1500.0, kB, rng);
-    PlanRequest request(platform, kParams, dgemm_service(310));
-    if (seeds() % 2 == 0) request.options.demand = 1.0 + (seeds() % 1000);
-    if (seeds() % 3 == 0) request.options.excluded = {0};
-    request.options.shards = seeds() % 5;
-    request.options.verbose_trace = seeds() % 2 == 0;
+    const PlanRequest request = random_wire_request(seeds);
     const std::string doc = wire::to_json(request).dump();
     const PlanRequest round = wire::request_from_json(json::parse(doc));
-    EXPECT_EQ(*round.platform, platform) << i;
+    EXPECT_EQ(*round.platform, *request.platform) << i;
     EXPECT_EQ(wire::to_json(round).dump(), doc) << i;
-    EXPECT_EQ(wire::request_fingerprint(round, "heuristic"),
-              wire::request_fingerprint(request, "heuristic"))
+    EXPECT_EQ(detail::request_key(round, "heuristic"),
+              detail::request_key(request, "heuristic"))
         << i;
   }
+}
+
+// ------------------------------------------------- request key vs the wire --
+
+/// The oracle: the canonical wire dump of {planner, request}, which is
+/// what the plan cache hashed before it keyed on the typed fields.
+std::string canonical_dump(const PlanRequest& request,
+                           const std::string& planner) {
+  json::Value doc = json::Value::object();
+  doc.set("planner", planner);
+  doc.set("request", wire::to_json(request));
+  return doc.dump();
+}
+
+struct KeyCase {
+  PlanRequest request;
+  std::string planner;
+};
+
+/// `base` with its platform rebuilt after `edit` mutates the node list.
+template <typename Edit>
+PlanRequest with_nodes(const PlanRequest& base, Edit edit) {
+  std::vector<NodeSpec> nodes = base.platform->nodes();
+  edit(nodes);
+  PlanRequest out = base;
+  out.platform = std::make_shared<const Platform>(std::move(nodes),
+                                                  base.platform->bandwidth());
+  return out;
+}
+
+/// Every one-field perturbation of `base` (plus no-op "perturbations"
+/// that must keep the key), each field touched on its own.
+std::vector<KeyCase> perturbations(const PlanRequest& base) {
+  const double up = std::numeric_limits<double>::infinity();
+  std::vector<KeyCase> out;
+  const auto add = [&out](PlanRequest request,
+                          std::string planner = "heuristic") {
+    out.push_back({std::move(request), std::move(planner)});
+  };
+  add(base);
+  add(wire::request_from_json(json::parse(wire::to_json(base).dump())));
+  // Planner.
+  add(base, "star");
+  add(base, "heuristic ");
+  add(base, "");
+  // A fresh platform object with the same content.
+  add(with_nodes(base, [](std::vector<NodeSpec>&) {}));
+  // Per node: name, power, link.
+  for (std::size_t i = 0; i < base.platform->size(); ++i) {
+    add(with_nodes(base, [i](std::vector<NodeSpec>& n) { n[i].name += "'"; }));
+    add(with_nodes(base, [i, up](std::vector<NodeSpec>& n) {
+      n[i].power = std::nextafter(n[i].power, up);
+    }));
+    add(with_nodes(base, [i](std::vector<NodeSpec>& n) { n[i].link = 0.0; }));
+    // A -0.0 link is "no link", exactly like 0.0: the wire omits both.
+    add(with_nodes(base, [i](std::vector<NodeSpec>& n) { n[i].link = -0.0; }));
+    add(with_nodes(base, [i](std::vector<NodeSpec>& n) { n[i].link = 250.0; }));
+    add(with_nodes(base, [i](std::vector<NodeSpec>& n) {
+      n[i].link = std::nextafter(250.0, 0.0);
+    }));
+  }
+  // Bandwidth.
+  {
+    PlanRequest edited = base;
+    edited.platform = std::make_shared<const Platform>(
+        base.platform->nodes(), std::nextafter(base.platform->bandwidth(), up));
+    add(std::move(edited));
+  }
+  // Every cost of both rows, bumped one ulp and set to ±0.
+  for (const bool agent : {true, false}) {
+    for (int field = 0; field < 6; ++field) {
+      for (const int how : {0, 1, 2}) {
+        PlanRequest edited = base;
+        ElementCosts& row = agent ? edited.params.agent : edited.params.server;
+        double* const fields[] = {&row.wreq, &row.wfix, &row.wsel,
+                                  &row.wpre, &row.sreq, &row.srep};
+        double& value = *fields[field];
+        value = how == 0 ? std::nextafter(value, up) : how == 1 ? 0.0 : -0.0;
+        add(std::move(edited));
+      }
+    }
+  }
+  // Service name and wapp.
+  {
+    PlanRequest edited = base;
+    edited.service.name += "x";
+    add(std::move(edited));
+    edited = base;
+    edited.service.wapp = std::nextafter(edited.service.wapp, up);
+    add(std::move(edited));
+  }
+  // Demand: finite values (including both zeros) and unlimited.
+  for (const double demand : {1.0, std::nextafter(1.0, up), 0.0, -0.0,
+                              1e300, kUnlimitedDemand}) {
+    PlanRequest edited = base;
+    edited.options.demand = demand;
+    add(std::move(edited));
+  }
+  // Degree and shards, up to the largest integer the JSON double still
+  // tells apart from its neighbours (2^53 - 1; see the next test).
+  const std::size_t big = (std::size_t{1} << 53) - 1;
+  for (const std::size_t value : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, big - 1, big}) {
+    PlanRequest edited = base;
+    edited.options.degree = value;
+    add(std::move(edited));
+    edited = base;
+    edited.options.shards = value;
+    add(std::move(edited));
+  }
+  // Excluded ids: empty, one, two, a different one, a large one.
+  for (const NodeSet& excluded :
+       {NodeSet{}, NodeSet{0}, NodeSet{1}, NodeSet{0, 1}, NodeSet{big}}) {
+    PlanRequest edited = base;
+    edited.options.excluded = excluded;
+    add(std::move(edited));
+  }
+  // The trace switch, both ways.
+  for (const bool verbose : {true, false}) {
+    PlanRequest edited = base;
+    edited.options.verbose_trace = verbose;
+    add(std::move(edited));
+  }
+  // Runtime-only fields never reach the key or the wire.
+  {
+    PlanRequest edited = base;
+    edited.options.deadline =
+        std::chrono::steady_clock::now() + std::chrono::hours(1);
+    add(std::move(edited));
+  }
+  return out;
+}
+
+TEST(Wire, RequestKeyEqualsExactlyWhenCanonicalDumpsEqual) {
+  // Differential oracle for detail::request_key: over the randomized
+  // corpus and every one-field perturbation of it, two (request,
+  // planner) pairs share a key if and only if their canonical wire dumps
+  // are byte-equal. Integer fields stay below 2^53 here, where the
+  // wire's JSON double is still exact; above it the typed key is finer
+  // (pinned by the next test).
+  std::mt19937 seeds(7);
+  std::size_t equal_pairs = 0;
+  std::size_t distinct_pairs = 0;
+  for (int corpus = 0; corpus < 12; ++corpus) {
+    const std::vector<KeyCase> cases =
+        perturbations(random_wire_request(seeds));
+    std::vector<std::string> keys, dumps;
+    for (const KeyCase& c : cases) {
+      keys.push_back(detail::request_key(c.request, c.planner));
+      dumps.push_back(canonical_dump(c.request, c.planner));
+    }
+    for (std::size_t a = 0; a < cases.size(); ++a) {
+      for (std::size_t b = a + 1; b < cases.size(); ++b) {
+        const bool same_dump = dumps[a] == dumps[b];
+        ASSERT_EQ(keys[a] == keys[b], same_dump)
+            << "corpus " << corpus << ", cases " << a << " and " << b;
+        ++(same_dump ? equal_pairs : distinct_pairs);
+      }
+    }
+  }
+  // Both directions of the "iff" were exercised.
+  EXPECT_GT(equal_pairs, 0u);
+  EXPECT_GT(distinct_pairs, 0u);
+}
+
+TEST(Wire, RequestKeySignedZeroAndWideIntegers) {
+  Rng rng(11);
+  const Platform platform = gen::uniform(6, 200.0, 1200.0, kB, rng);
+  PlanRequest zero(platform, kParams, dgemm_service(310));
+  zero.options.demand = 0.0;
+  PlanRequest negative_zero = zero;
+  negative_zero.options.demand = -0.0;
+  // -0.0 and 0.0 dump differently ("-0" vs "0") and key differently.
+  EXPECT_NE(canonical_dump(zero, "heuristic"),
+            canonical_dump(negative_zero, "heuristic"));
+  EXPECT_NE(detail::request_key(zero, "heuristic"),
+            detail::request_key(negative_zero, "heuristic"));
+  // At 2^53 the JSON double can no longer tell n from n + 1, so the two
+  // dumps collide; the typed key hashes the integer itself and keeps
+  // them apart — finer than the wire, never coarser.
+  PlanRequest wide(platform, kParams, dgemm_service(310));
+  wide.options.degree = std::size_t{1} << 53;
+  PlanRequest wider = wide;
+  wider.options.degree += 1;
+  EXPECT_EQ(canonical_dump(wide, "heuristic"),
+            canonical_dump(wider, "heuristic"));
+  EXPECT_NE(detail::request_key(wide, "heuristic"),
+            detail::request_key(wider, "heuristic"));
+}
+
+TEST(Wire, RequestKeyRejectsWhatTheWireCannotEncode) {
+  // The key applies the wire encoder's finiteness check, with its error.
+  Rng rng(12);
+  const Platform platform = gen::uniform(6, 200.0, 1200.0, kB, rng);
+  const auto expect_unencodable = [](const PlanRequest& request) {
+    for (const bool via_key : {true, false}) {
+      try {
+        if (via_key)
+          detail::request_key(request, "heuristic");
+        else
+          canonical_dump(request, "heuristic");
+        ADD_FAILURE() << (via_key ? "key" : "dump") << " did not throw";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "JSON cannot represent a non-finite number"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  PlanRequest nan_demand(platform, kParams, dgemm_service(310));
+  nan_demand.options.demand = std::numeric_limits<double>::quiet_NaN();
+  expect_unencodable(nan_demand);
+  PlanRequest negative_infinite_demand(platform, kParams, dgemm_service(310));
+  negative_infinite_demand.options.demand = -kUnlimitedDemand;
+  expect_unencodable(negative_infinite_demand);
+  PlanRequest nan_wapp(platform, kParams, dgemm_service(310));
+  nan_wapp.service.wapp = std::numeric_limits<double>::quiet_NaN();
+  expect_unencodable(nan_wapp);
+  PlanRequest infinite_cost(platform, kParams, dgemm_service(310));
+  infinite_cost.params.server.wpre = kUnlimitedDemand;
+  expect_unencodable(infinite_cost);
+  // Unlimited (+inf) demand is the one infinity the wire spells out.
+  PlanRequest unlimited(platform, kParams, dgemm_service(310));
+  EXPECT_NO_THROW(detail::request_key(unlimited, "heuristic"));
+  // And a request without a platform fails like the wire encoder does.
+  EXPECT_THROW(detail::request_key(PlanRequest{}, "heuristic"), Error);
 }
 
 TEST(Wire, TruncatedFramesAlwaysThrowNeverMisparse) {
