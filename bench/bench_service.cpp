@@ -31,6 +31,13 @@
 /// for the CI gate, which keeps the key off any path that rebuilds and
 /// dumps the request as a JSON tree.
 ///
+/// The wire-line-1k arm measures decoding the serve request line of one
+/// such ~1000-node problem (the `adept serve` hit path's input): the DOM
+/// path (json::parse + wire::serve_request_from_json) against the
+/// one-pass wire::decode_serve_request, interleaved, each result checked
+/// bit-identical to the other. It emits `decode_speedup` (DOM p50 / one-
+/// pass p50) and `bit_identical` for the CI gate.
+///
 /// The metrics arms measure the observability subsystem's overhead on
 /// the cache-off (real planning) workload: a service recording into an
 /// enabled registry vs one recording into a *disabled* registry (every
@@ -48,8 +55,11 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -158,6 +168,73 @@ CacheHitResult run_cache_hit(std::size_t jobs, std::uint64_t seed) {
   return out;
 }
 
+struct WireLineResult {
+  std::size_t nodes = 0;
+  std::size_t bytes = 0;
+  std::size_t decodes = 0;
+  double dom_p50_ms = 0.0;
+  double line_p50_ms = 0.0;
+  bool bit_identical = true;
+  double decode_speedup() const { return dom_p50_ms / line_p50_ms; }
+};
+
+/// Bitwise equality of two decoded serve lines: the canonical dump
+/// covers every wire field with shortest-round-trip numbers; the node
+/// links are compared by bits because a zero link is not dumped.
+bool same_serve_request(const wire::ServeRequest& a,
+                        const wire::ServeRequest& b) {
+  if (a.id.dump() != b.id.dump() || a.planner != b.planner ||
+      a.budget_ms != b.budget_ms ||
+      wire::to_json(a.request).dump() != wire::to_json(b.request).dump())
+    return false;
+  const std::vector<NodeSpec>& x = a.request.platform->nodes();
+  const std::vector<NodeSpec>& y = b.request.platform->nodes();
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(x[i].link) !=
+        std::bit_cast<std::uint64_t>(y[i].link))
+      return false;
+  return true;
+}
+
+/// Decodes the serve request line of one ~1000-node g5k-multi-cluster
+/// `sharded` problem through both paths, alternating, and records the
+/// per-decode p50 of each.
+WireLineResult run_wire_line(std::uint64_t seed) {
+  constexpr std::size_t kNodes = 1000;
+  constexpr std::size_t kDecodes = 300;
+  const Platform platform =
+      gen::catalog_platform("g5k-multi-cluster", kNodes, seed);
+  json::Value doc = wire::to_json(
+      PlanRequest(platform, bench::params(), dgemm_service(310)));
+  doc.set("id", 7);
+  doc.set("planner", "sharded");
+  const std::string line = doc.dump();
+  WireLineResult out;
+  out.nodes = platform.size();
+  out.bytes = line.size();
+  out.decodes = kDecodes;
+  std::vector<double> dom_ms(kDecodes), line_ms(kDecodes);
+  for (std::size_t i = 0; i < kDecodes; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    const wire::ServeRequest dom =
+        wire::serve_request_from_json(json::parse(line));
+    dom_ms[i] = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    start = std::chrono::steady_clock::now();
+    const std::optional<wire::ServeRequest> fast =
+        wire::decode_serve_request(line);
+    line_ms[i] = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    out.bit_identical =
+        out.bit_identical && fast.has_value() && same_serve_request(dom, *fast);
+  }
+  out.dom_p50_ms = stats::percentile(std::move(dom_ms), 50.0);
+  out.line_p50_ms = stats::percentile(std::move(line_ms), 50.0);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -244,6 +321,16 @@ int main(int argc, char** argv) {
             << " hits): cold " << Table::num(hit.cold_ms, 2) << " ms, hit p50 "
             << Table::num(hit.hit_p50_ms, 4) << " ms, speedup "
             << Table::num(hit.hit_speedup(), 1) << "x\n";
+
+  const WireLineResult wire_line = run_wire_line(seed);
+  std::cout << "\nserve line decode of a " << wire_line.nodes
+            << "-node g5k-multi-cluster request (" << wire_line.bytes
+            << " bytes, " << wire_line.decodes << " decodes): DOM p50 "
+            << Table::num(wire_line.dom_p50_ms, 4) << " ms, one-pass p50 "
+            << Table::num(wire_line.line_p50_ms, 4) << " ms, speedup "
+            << Table::num(wire_line.decode_speedup(), 2) << "x\n";
+  bench::verdict("one-pass serve decode is bit-identical to the DOM path",
+                 wire_line.bit_identical);
 
   // ---- metrics instrumentation overhead: enabled vs disabled registry --
   // Interleaved rounds on the cache-off workload (every request actually
@@ -380,6 +467,14 @@ int main(int argc, char** argv) {
                 {{"hits", static_cast<double>(hit.hits)},
                  {"hit_p50_ms", hit.hit_p50_ms},
                  {"hit_speedup", hit.hit_speedup()}}});
+    writer.add({"wire-line-1k", wire_line.nodes, wire_line.line_p50_ms, 0,
+                1000.0 / wire_line.line_p50_ms,
+                {{"decodes", static_cast<double>(wire_line.decodes)},
+                 {"line_bytes", static_cast<double>(wire_line.bytes)},
+                 {"dom_p50_ms", wire_line.dom_p50_ms},
+                 {"line_p50_ms", wire_line.line_p50_ms},
+                 {"decode_speedup", wire_line.decode_speedup()},
+                 {"bit_identical", wire_line.bit_identical ? 1.0 : 0.0}}});
     writer.add({"metrics-off", nodes, best_moff.wall_ms,
                 best_moff.stats.evaluations, best_moff.requests_per_s,
                 {{"requests", static_cast<double>(distinct * repeats)}}});

@@ -80,6 +80,12 @@ bool receive_framed_line(int fd, std::string& buffer, std::string& line,
   for (;;) {
     const std::size_t newline = buffer.find('\n', scanned);
     scanned = buffer.size();
+    // A line over the cap is a failed worker, found without reading
+    // more than one byte past the cap.
+    if (std::min(newline, buffer.size()) > wire::kMaxLineBytes) {
+      alive = false;
+      return false;
+    }
     if (newline != std::string::npos) {
       line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
@@ -104,7 +110,9 @@ bool receive_framed_line(int fd, std::string& buffer, std::string& line,
     }
     if (ready == 0) continue;  // re-check the deadline
     char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    const ssize_t n = ::read(
+        fd, chunk,
+        std::min(sizeof chunk, wire::kMaxLineBytes + 1 - buffer.size()));
     if (n < 0) {
       // A signal landing between poll() and read() is not a dead
       // worker; retry against the same absolute deadline.
@@ -152,28 +160,20 @@ class InProcessWorker final : public Worker {
     json::Value response = json::Value::object();
     response.set("id", json::Value(nullptr));
     try {
-      const json::Value doc = json::parse(line);
-      if (const json::Value* id = doc.find("id")) response.set("id", *id);
-      if (const json::Value* cmd = doc.find("cmd")) {
+      wire::ServeLine parsed(line);
+      response.set("id", parsed.id());
+      if (const json::Value* cmd = parsed.command()) {
         ADEPT_CHECK(cmd->as_string() == "stats",
                     "unknown command '" + cmd->as_string() + "'");
         response.set("ok", true);
         response.set("stats", json::Value::object());
         return response.dump();
       }
+      wire::ServeRequest decoded = parsed.request();
+      decoded.arm_deadline();
+      const PlanRequest& request = decoded.request;
       PlannerRun run;
-      run.planner = "heuristic";
-      if (const json::Value* planner = doc.find("planner"))
-        run.planner = planner->as_string();
-      PlanRequest request = wire::request_from_json(doc);
-      if (const json::Value* budget = doc.find("budget_ms")) {
-        const double ms = budget->as_number();
-        ADEPT_CHECK(ms > 0.0 && ms <= 8.64e10,
-                    "budget_ms must be in (0, 8.64e10]");
-        request.options.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
-      }
+      run.planner = decoded.planner;
       const std::uint64_t evals_before = model::evaluations_on_this_thread();
       const auto start = std::chrono::steady_clock::now();
       try {

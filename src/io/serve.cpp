@@ -11,6 +11,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -22,6 +23,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -135,26 +137,38 @@ class Session {
   std::size_t answered() const { return answered_count_; }
 
   void handle_line(const std::string& line) {
-    json::Value request;
+    const auto received = std::chrono::steady_clock::now();
+    std::optional<wire::ServeLine> parsed;
     try {
-      request = json::parse(line);
+      parsed.emplace(line);
     } catch (const Error& e) {
       queue_error(json::Value(nullptr), e.what());
       return;
     }
-    if (const json::Value* cmd = request.find("cmd")) {
+    if (const json::Value* cmd = parsed->command()) {
       try {
-        handle_command(*cmd, request);
+        handle_command(*cmd, parsed->document());
       } catch (const Error& e) {
         // e.g. a non-string "cmd" value — an error line, not a dead session.
         queue_error(json::Value(nullptr), e.what());
       }
       return;
     }
-    submit(request);
+    submit(*parsed, received);
+  }
+
+  /// Answers a line longer than wire::kMaxLineBytes; the reader then
+  /// ends the session without reading the rest of it.
+  void refuse_oversized_line() {
+    queue_error(json::Value(nullptr),
+                "request line exceeds " + std::to_string(wire::kMaxLineBytes) +
+                    " bytes");
+    refused_line_ = true;
   }
 
   bool quitting() const { return quitting_; }
+  /// True once refuse_oversized_line() ended the session.
+  bool refused_line() const { return refused_line_; }
 
   /// Signals end of input and blocks until every queued response has
   /// been written and the writer thread has exited. Idempotent.
@@ -233,9 +247,13 @@ class Session {
     queue_error(json::Value(nullptr), "unknown command '" + name + "'");
   }
 
-  void submit(const json::Value& request) {
+  /// Admits one planning line. Its request is read only when the line
+  /// is admitted, so a refusal at admission never decodes it.
+  void submit(wire::ServeLine& line,
+              std::chrono::steady_clock::time_point received) {
     Pending pending;
-    if (const json::Value* id = request.find("id")) pending.id = *id;
+    pending.id = line.id();
+    pending.received = received;
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -259,22 +277,12 @@ class Session {
         enqueue(std::move(pending));
         return;
       }
-      // The wire deserializer gives the request an *owning* platform, so
-      // the in-flight job can never outlive it.
-      PlanRequest plan_request = wire::request_from_json(request);
-      if (const json::Value* budget = request.find("budget_ms")) {
-        const double ms = budget->as_number();
-        // Upper bound (~1000 days) keeps the microsecond cast and the
-        // time_point addition comfortably inside their ranges.
-        ADEPT_CHECK(ms > 0.0 && ms <= 8.64e10,
-                    "budget_ms must be in (0, 8.64e10]");
-        plan_request.options.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
-      }
-      std::string planner = "heuristic";
-      if (const json::Value* name = request.find("planner"))
-        planner = name->as_string();
+      // The wire decoders give the request an *owning* platform, so the
+      // in-flight job can never outlive it.
+      wire::ServeRequest request = line.request();
+      request.arm_deadline();
+      PlanRequest& plan_request = request.request;
+      const std::string& planner = request.planner;
       if (full) {
         // Degrade-on-overload: answer right here on the reader thread
         // with the cheap planner — the synchronous run throttles an
@@ -502,8 +510,11 @@ class Session {
     return out;
   }
 
+  /// One write per response: the line and its '\n' leave together.
   void write(const json::Value& response) {
-    out_ << response.dump() << '\n';
+    std::string line = response.dump();
+    line += '\n';
+    out_.write(line.data(), static_cast<std::streamsize>(line.size()));
     out_.flush();
   }
 
@@ -534,13 +545,48 @@ class Session {
   obs::Gauge& g_pending_;
   obs::Histogram& h_request_ms_;
   bool quitting_ = false;
+  bool refused_line_ = false;
   std::thread writer_;  ///< Last member: starts after everything it uses.
 };
 
-/// The reader loop shared by stdio and socket sessions.
+enum class LineRead { Line, End, TooLong };
+
+/// std::getline with a ceiling: reads the next line (terminator
+/// stripped) into `line`, which never grows past wire::kMaxLineBytes.
+/// TooLong leaves the rest of that line unread.
+LineRead read_line(std::istream& in, std::string& line) {
+  line.clear();
+  char chunk[16384];
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    if (in.bad()) return LineRead::End;
+    // istream::getline: eofbit = the input ended before a '\n'; failbit
+    // alone = the chunk filled first; neither = the '\n' was consumed
+    // and is counted in gcount().
+    const auto got = static_cast<std::size_t>(in.gcount());
+    const bool ended = in.eof();
+    const bool full = !ended && in.fail();
+    const std::size_t stored = ended || full ? got : got - 1;
+    if (line.size() + stored > wire::kMaxLineBytes) return LineRead::TooLong;
+    line.append(chunk, stored);
+    if (ended) return line.empty() ? LineRead::End : LineRead::Line;
+    if (!full) return LineRead::Line;
+    in.clear();
+  }
+}
+
+/// The reader loop shared by stdio and socket sessions. A line over the
+/// cap is answered and ends the session, the rest of it unread here (a
+/// socket session then drains it, see drain_before_close).
 std::size_t run_session(std::istream& in, Session& session) {
   std::string line;
-  while (!session.quitting() && std::getline(in, line)) {
+  while (!session.quitting()) {
+    const LineRead read = read_line(in, line);
+    if (read == LineRead::End) break;
+    if (read == LineRead::TooLong) {
+      session.refuse_oversized_line();
+      break;
+    }
     if (strings::trim(line).empty()) continue;
     session.handle_line(line);
   }
@@ -553,9 +599,10 @@ std::size_t run_session(std::istream& in, Session& session) {
 /// An unbuffered, EINTR-safe std::streambuf over a connected socket fd.
 /// Reads block until data or EOF (a session waiting for its next request
 /// line simply sleeps in read()); writes push whole lines — the Session
-/// writes one dump()ed response then '\n', so a response costs two
-/// syscalls on a TCP_NODELAY socket. Write failures (client gone) set
-/// the stream's error state; the session then drains without a reader.
+/// hands over each response with its '\n' in one piece, so a response is
+/// one write() and, on the TCP_NODELAY socket, one segment burst. Write
+/// failures (client gone) set the stream's error state; the session then
+/// drains without a reader.
 class FdStreamBuf final : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd) : fd_(fd) { setg(in_, in_, in_); }
@@ -598,6 +645,35 @@ class FdStreamBuf final : public std::streambuf {
   int fd_;
   char in_[8192];
 };
+
+/// Ends a socket session whose client may still be sending: half-closes
+/// the socket, then reads and discards input until the client's end of
+/// stream. A close() over unread input makes Linux reset the connection
+/// and drop the responses still queued for the client; after the drain
+/// the close is orderly. Bounded by kMaxLineBytes of input and
+/// kDrainMs of waiting, after which the socket is closed anyway.
+void drain_before_close(int fd) {
+  constexpr int kDrainMs = 5000;
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kDrainMs);
+  char sink[65536];
+  std::size_t drained = 0;
+  while (drained <= wire::kMaxLineBytes) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) break;
+    struct pollfd ready = {fd, POLLIN, 0};
+    const int rc = ::poll(&ready, 1, static_cast<int>(left));
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) break;
+    const ssize_t n = ::read(fd, sink, sizeof sink);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    drained += static_cast<std::size_t>(n);
+  }
+}
 
 /// Binds a listening socket for "host:port"; returns the fd and the
 /// kernel-resolved port (meaningful when the caller asked for port 0).
@@ -716,6 +792,7 @@ std::size_t serve_listen(const std::string& endpoint,
     sessions.emplace_back([client, &service, &config, &mutex, &answered,
                            &finished] {
       std::size_t count = 0;
+      bool input_unread = false;
       {
         FdStreamBuf in_buf(client);
         FdStreamBuf out_buf(client);
@@ -723,7 +800,9 @@ std::size_t serve_listen(const std::string& endpoint,
         std::ostream out(&out_buf);
         Session session(out, config, service);
         count = run_session(in, session);
+        input_unread = session.refused_line();
       }
+      if (input_unread) drain_before_close(client);
       ::close(client);
       std::lock_guard<std::mutex> lock(mutex);
       answered += count;

@@ -1,6 +1,7 @@
 #include "io/wire.hpp"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -369,6 +370,208 @@ PlanRequest request_from_json(const json::Value& value) {
                         : MiddlewareParams::diet_grid5000(),
       service_from_json(value.at("service")),
       options != nullptr ? options_from_json(*options) : PlanOptions{});
+}
+
+// ------------------------------------------------------ serve request lines --
+
+namespace {
+
+/// The serve budget range: the upper bound (~1000 days) keeps the
+/// microsecond cast and the time_point addition inside their ranges.
+bool valid_budget(double ms) { return ms > 0.0 && ms <= 8.64e10; }
+
+/// Thrown inside decode_serve_request when the line leaves the common
+/// case; the caller falls back to the DOM path.
+struct Decline {};
+
+[[noreturn]] void decline() { throw Decline{}; }
+
+/// Records member `bit` in `seen`; a repeated member declines.
+void mark(unsigned& seen, unsigned bit) {
+  if ((seen & bit) != 0) decline();
+  seen |= bit;
+}
+
+/// The next member's key (unescaped) and its ':'.
+std::string_view member_key(json::Reader& in) {
+  const std::optional<std::string_view> key = in.plain_string();
+  if (!key) decline();
+  in.expect(':');
+  return *key;
+}
+
+/// {"name", "power", "link"?} in any order, name unescaped.
+NodeSpec read_node(json::Reader& in) {
+  NodeSpec node;
+  unsigned seen = 0;
+  in.expect('{');
+  in.enter();
+  if (!in.consume('}')) {
+    do {
+      const std::string_view key = member_key(in);
+      if (key == "name") {
+        mark(seen, 1);
+        const std::optional<std::string_view> name = in.plain_string();
+        if (!name) decline();
+        node.name = *name;
+      } else if (key == "power") {
+        mark(seen, 2);
+        node.power = in.number();
+      } else if (key == "link") {
+        mark(seen, 4);
+        node.link = in.number();
+      } else {
+        decline();
+      }
+    } while (in.consume(','));
+    in.expect('}');
+  }
+  in.leave();
+  if ((seen & 3) != 3) decline();
+  return node;
+}
+
+/// {"bandwidth", "nodes"} in any order, read without a JSON tree.
+Platform read_platform(json::Reader& in) {
+  std::vector<NodeSpec> nodes;
+  double bandwidth = 0.0;
+  unsigned seen = 0;
+  in.expect('{');
+  in.enter();
+  if (!in.consume('}')) {
+    do {
+      const std::string_view key = member_key(in);
+      if (key == "bandwidth") {
+        mark(seen, 1);
+        bandwidth = in.number();
+      } else if (key == "nodes") {
+        mark(seen, 2);
+        in.expect('[');
+        in.enter();
+        if (!in.consume(']')) {
+          do nodes.push_back(read_node(in));
+          while (in.consume(','));
+          in.expect(']');
+        }
+        in.leave();
+      } else {
+        decline();
+      }
+    } while (in.consume(','));
+    in.expect('}');
+  }
+  in.leave();
+  if (seen != 3) decline();
+  return Platform(std::move(nodes), bandwidth);
+}
+
+}  // namespace
+
+void ServeRequest::arm_deadline(std::chrono::steady_clock::time_point now) {
+  if (!budget_ms) return;
+  request.options.deadline =
+      now + std::chrono::microseconds(
+                static_cast<long long>(*budget_ms * 1000.0));
+}
+
+ServeRequest serve_request_from_json(const json::Value& line) {
+  ServeRequest out;
+  if (const json::Value* id = line.find("id")) out.id = *id;
+  out.request = request_from_json(line);
+  if (const json::Value* budget = line.find("budget_ms")) {
+    const double ms = budget->as_number();
+    ADEPT_CHECK(valid_budget(ms), "budget_ms must be in (0, 8.64e10]");
+    out.budget_ms = ms;
+  }
+  if (const json::Value* planner = line.find("planner"))
+    out.planner = planner->as_string();
+  return out;
+}
+
+std::optional<ServeRequest> decode_serve_request(std::string_view line) {
+  enum : unsigned {
+    kPlatform = 1, kService = 2, kParams = 4, kOptions = 8,
+    kId = 16, kPlanner = 32, kBudget = 64,
+  };
+  try {
+    json::Reader in(line);
+    ServeRequest out;
+    std::optional<Platform> platform;
+    json::Value service, params, options;
+    unsigned seen = 0;
+    in.expect('{');
+    in.enter();
+    if (!in.consume('}')) {
+      do {
+        const std::string_view key = member_key(in);
+        if (key == "platform") {
+          mark(seen, kPlatform);
+          platform.emplace(read_platform(in));
+        } else if (key == "service") {
+          mark(seen, kService);
+          service = in.value();
+        } else if (key == "params") {
+          mark(seen, kParams);
+          params = in.value();
+        } else if (key == "options") {
+          mark(seen, kOptions);
+          options = in.value();
+        } else if (key == "id") {
+          mark(seen, kId);
+          out.id = in.value();
+        } else if (key == "planner") {
+          mark(seen, kPlanner);
+          const json::Value planner = in.value();
+          if (!planner.is_string()) decline();
+          out.planner = planner.as_string();
+        } else if (key == "budget_ms") {
+          mark(seen, kBudget);
+          const json::Value budget = in.value();
+          if (!budget.is_number() || !valid_budget(budget.as_number()))
+            decline();
+          out.budget_ms = budget.as_number();
+        } else {
+          decline();  // "cmd" (a control line) or a member serve ignores
+        }
+      } while (in.consume(','));
+      in.expect('}');
+    }
+    in.leave();
+    in.finish();
+    if ((seen & kPlatform) == 0 || (seen & kService) == 0) decline();
+    out.request = PlanRequest(
+        std::make_shared<const Platform>(std::move(*platform)),
+        (seen & kParams) != 0 ? params_from_json(params)
+                              : MiddlewareParams::diet_grid5000(),
+        service_from_json(service),
+        (seen & kOptions) != 0 ? options_from_json(options) : PlanOptions{});
+    return out;
+  } catch (const Decline&) {
+    return std::nullopt;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+ServeLine::ServeLine(std::string_view line)
+    : decoded_(decode_serve_request(line)) {
+  if (!decoded_) document_ = json::parse(line);
+}
+
+const json::Value* ServeLine::command() const {
+  return decoded_ ? nullptr : document_.find("cmd");
+}
+
+const json::Value& ServeLine::id() const {
+  static const json::Value kNoId;
+  if (decoded_) return decoded_->id;
+  const json::Value* id = document_.find("id");
+  return id != nullptr ? *id : kNoId;
+}
+
+ServeRequest ServeLine::request() {
+  if (decoded_) return std::move(*decoded_);
+  return serve_request_from_json(document_);
 }
 
 // ---------------------------------------------------------- churn scenarios --

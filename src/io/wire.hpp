@@ -24,7 +24,11 @@
 ///     positivity checks, Hierarchy::from_elements' linkage checks), so a
 ///     hostile document cannot materialise an invalid value.
 
+#include <chrono>
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -81,6 +85,72 @@ json::Value to_json(const PlanRequest& request);
 /// Rebuilds a request that *owns* its platform (std::make_shared), so the
 /// deserialized request is safe to submit() and outlive the call site.
 PlanRequest request_from_json(const json::Value& value);
+
+// --------------------------------------------------- serve request lines --
+
+/// The longest request or response line any framed reader accepts
+/// (serve sessions on stdio and --listen, dist::receive_framed_line),
+/// terminator excluded. A reader never holds more than this of one line:
+/// past it, a serve session answers one error line and closes, and a
+/// worker response marks the worker failed.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
+/// One planning line of the serve protocol (io/serve.hpp): the request
+/// plus the session-level fields that travel next to it.
+struct ServeRequest {
+  json::Value id;                     ///< Echoed back; null when absent.
+  std::string planner = "heuristic";  ///< Registry name or "portfolio".
+  PlanRequest request;                ///< Owns its platform.
+  std::optional<double> budget_ms;    ///< Relative deadline, validated.
+
+  /// Arms request.options.deadline budget_ms after `now` (no budget: no
+  /// deadline).
+  void arm_deadline(std::chrono::steady_clock::time_point now =
+                        std::chrono::steady_clock::now());
+};
+
+/// Reads a parsed planning line (one without "cmd"). Throws adept::Error
+/// with the text a serve session answers: request_from_json's first,
+/// then "budget_ms" (a number in (0, 8.64e10]), then "planner" (a
+/// string). Unknown members are ignored.
+ServeRequest serve_request_from_json(const json::Value& line);
+
+/// The same line decoded in one pass over the text: "platform" straight
+/// into NodeSpecs and a Platform, every other member as a small subtree
+/// through json::Reader. It covers only the common case and returns
+/// nullopt for everything else (a control line, unknown or repeated
+/// members, an escaped key or node name, and any syntax or schema
+/// error); the caller then takes the json::parse + serve_request_from_json
+/// path, which is the only source of error text. When it returns a
+/// value, that value equals what the DOM path yields for the line.
+std::optional<ServeRequest> decode_serve_request(std::string_view line);
+
+/// One serve line read the way every serve front end reads it (serve
+/// sessions and the in-process worker): decode_serve_request first, and
+/// when it declines, json::parse, with the request then read by
+/// serve_request_from_json. Error text therefore always comes from the
+/// DOM path.
+class ServeLine {
+ public:
+  /// Throws adept::Error with json::parse's text when the line is not
+  /// one JSON document.
+  explicit ServeLine(std::string_view line);
+
+  /// The "cmd" member of a control line; nullptr on a planning line.
+  const json::Value* command() const;
+  /// The parsed line; null when it was decoded in one pass (a control
+  /// line never is).
+  const json::Value& document() const { return document_; }
+  /// The line's "id", null when absent. Read it before request().
+  const json::Value& id() const;
+  /// The planning request; throws adept::Error with the text the line
+  /// is answered with. Call at most once.
+  ServeRequest request();
+
+ private:
+  std::optional<ServeRequest> decoded_;
+  json::Value document_;
+};
 
 // Churn scenarios (sim/scenario.hpp): the scenario description, single
 // mutation events, whole traces, and recordings (scenario + trace) all

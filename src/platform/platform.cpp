@@ -1,26 +1,64 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string_view>
-#include <unordered_set>
 
 #include "common/error.hpp"
 
 namespace adept {
 
+namespace {
+
+/// The first node (input order) whose name an earlier node already has,
+/// or nodes.size() when every name is unique. Open addressing over node
+/// indices with linear probing, at most half full; tables of up to
+/// kStackSlots slots (platforms of up to 2048 nodes) live on the stack,
+/// so validating such a platform allocates nothing.
+std::size_t first_repeated_name(const std::vector<NodeSpec>& nodes) {
+  constexpr std::size_t kStackSlots = 4096;
+  constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  ADEPT_CHECK(nodes.size() < kEmpty, "platform has too many nodes");
+  std::size_t slots = 16;
+  while (slots < 2 * nodes.size()) slots *= 2;
+  std::array<std::uint32_t, kStackSlots> stack_table;
+  std::vector<std::uint32_t> heap_table;
+  std::uint32_t* table = stack_table.data();
+  if (slots > kStackSlots) {
+    heap_table.resize(slots);
+    table = heap_table.data();
+  }
+  std::fill(table, table + slots, kEmpty);
+  const std::size_t mask = slots - 1;
+  const std::hash<std::string_view> hash;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::string_view name = nodes[i].name;
+    for (std::size_t slot = hash(name) & mask;; slot = (slot + 1) & mask) {
+      if (table[slot] == kEmpty) {
+        table[slot] = static_cast<std::uint32_t>(i);
+        break;
+      }
+      if (nodes[table[slot]].name == name) return i;
+    }
+  }
+  return nodes.size();
+}
+
+}  // namespace
+
 Platform::Platform(std::vector<NodeSpec> nodes, MbitRate bandwidth)
     : nodes_(std::move(nodes)), bandwidth_(bandwidth) {
   ADEPT_CHECK(bandwidth_ > 0.0, "platform bandwidth must be positive");
-  // Views into nodes_, which is not resized below: one hash probe per
-  // node, no string copies. The first repeat in input order is reported.
-  std::unordered_set<std::string_view> names;
-  names.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    validate_node(node);
-    ADEPT_CHECK(names.insert(node.name).second,
-                "duplicate node name '" + node.name + "'");
-  }
+  // The first failure in input order is reported: nodes up to and
+  // including the first repeat are validated before the repeat is.
+  const std::size_t repeat = first_repeated_name(nodes_);
+  for (std::size_t i = 0; i < nodes_.size() && i <= repeat; ++i)
+    validate_node(nodes_[i]);
+  ADEPT_CHECK(repeat == nodes_.size(),
+              "duplicate node name '" + nodes_[repeat].name + "'");
   rebuild_caches();
 }
 
@@ -29,11 +67,13 @@ void Platform::rebuild_caches() {
   for (NodeId i = 0; i < nodes_.size(); ++i) powers_[i] = nodes_[i].power;
   order_desc_.resize(nodes_.size());
   for (NodeId i = 0; i < order_desc_.size(); ++i) order_desc_[i] = i;
-  std::stable_sort(order_desc_.begin(), order_desc_.end(),
-                   [this](NodeId a, NodeId b) {
-                     if (powers_[a] != powers_[b]) return powers_[a] > powers_[b];
-                     return a < b;
-                   });
+  // (power desc, id asc) is a total order over distinct ids, so the
+  // unstable sort yields the one permutation a stable sort would.
+  std::sort(order_desc_.begin(), order_desc_.end(),
+            [this](NodeId a, NodeId b) {
+              if (powers_[a] != powers_[b]) return powers_[a] > powers_[b];
+              return a < b;
+            });
 }
 
 void Platform::validate_node(const NodeSpec& node) const {

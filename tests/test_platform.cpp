@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "platform/generator.hpp"
@@ -38,6 +44,48 @@ TEST(Platform, DuplicateNameErrorNamesTheFirstRepeat) {
   }
 }
 
+TEST(Platform, DuplicateNameErrorMatchesAMapReference) {
+  // The open-addressing check against a std::map walk in input order,
+  // over platforms of up to 10k nodes (past the stack table, so the heap
+  // table is covered too) whose names collide at random, and where a
+  // node that fails validation may precede or follow the first repeat:
+  // whichever comes first in input order is the error.
+  std::mt19937 rng(310);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t count = 1 + rng() % (round < 40 ? 600 : 10000);
+    const std::size_t distinct = 1 + rng() % (2 * count);
+    std::vector<NodeSpec> nodes;
+    for (std::size_t i = 0; i < count; ++i)
+      nodes.push_back({"n" + std::to_string(rng() % distinct), 1.0 + i});
+    if (round % 3 == 0) nodes[rng() % count].power = -1.0;
+    std::string expected;
+    std::map<std::string, std::size_t> seen;
+    for (const NodeSpec& node : nodes) {
+      if (node.power <= 0.0) {
+        expected = "node '" + node.name + "' must have positive power";
+        break;
+      }
+      if (!seen.emplace(node.name, 0).second) {
+        expected = "duplicate node name '" + node.name + "'";
+        break;
+      }
+    }
+    std::string got;
+    try {
+      Platform(nodes, 1000.0);
+    } catch (const Error& e) {
+      got = e.what();
+    }
+    if (expected.empty()) {
+      EXPECT_EQ(got, "") << "round " << round;
+    } else {
+      EXPECT_NE(got.find(expected), std::string::npos)
+          << "round " << round << ": expected '" << expected << "', got '"
+          << got << "'";
+    }
+  }
+}
+
 TEST(Platform, AddNodeRejectsDuplicates) {
   Platform platform({{"a", 100.0}}, 1000.0);
   EXPECT_EQ(platform.add_node({"b", 200.0}), 1u);
@@ -69,6 +117,29 @@ TEST(Platform, IdsByPowerDescIsStable) {
   EXPECT_EQ(ids[1], 2u);
   EXPECT_EQ(ids[2], 0u);
   EXPECT_EQ(ids[3], 3u);
+}
+
+TEST(Platform, IdsByPowerDescMatchesAStableSortReference) {
+  // Tie-heavy powers (a handful of distinct values, repeated) in random
+  // order: the order must be the stable sort by descending power, i.e.
+  // ties in ascending id.
+  std::mt19937 rng(2008);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t count = 1 + rng() % 3000;
+    const std::size_t levels = 1 + rng() % 6;
+    std::vector<NodeSpec> nodes;
+    for (std::size_t i = 0; i < count; ++i)
+      nodes.push_back({"n" + std::to_string(i),
+                       100.0 * static_cast<double>(1 + rng() % levels)});
+    const Platform platform(nodes, 1000.0);
+    std::vector<NodeId> expected(count);
+    for (NodeId i = 0; i < count; ++i) expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](NodeId a, NodeId b) {
+                       return nodes[a].power > nodes[b].power;
+                     });
+    EXPECT_EQ(platform.ids_by_power_desc(), expected) << "round " << round;
+  }
 }
 
 TEST(Platform, SubsetPreservesOrderAndBandwidth) {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <streambuf>
@@ -539,6 +541,144 @@ TEST(Serve, SlowReaderStallsTheWriterNotTheSession) {
     EXPECT_EQ(responses[i].at("id").as_string(), order[i]);
     EXPECT_TRUE(responses[i].at("ok").as_bool()) << responses[i].dump();
   }
+}
+
+/// Records every write the session makes, unbuffered: one entry per
+/// xsputn/overflow call.
+class WriteRecorder final : public std::streambuf {
+ public:
+  std::vector<std::string> writes;
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    writes.emplace_back(data, static_cast<std::size_t>(count));
+    return count;
+  }
+  int overflow(int ch) override {
+    if (ch != traits_type::eof()) writes.emplace_back(1, static_cast<char>(ch));
+    return ch;
+  }
+};
+
+TEST(Serve, EachResponseIsOneWriteEndingInItsNewline) {
+  // A response and its '\n' leave in one write (one segment burst on a
+  // TCP_NODELAY listener socket), never as two.
+  const std::string platform = platform_json(53);
+  std::stringstream in;
+  for (const char* id : {"a", "b", "c"})
+    in << R"({"id":")" << id << R"(","planner":"star","platform":)"
+       << platform << R"(,"service":"dgemm-100"})" << "\n";
+  in << "not json\n" << R"({"cmd":"stats"})" << "\n";
+  WriteRecorder recorder;
+  std::ostream out(&recorder);
+  io::ServeConfig config;
+  config.threads = 2;
+  io::serve_session(in, out, config);
+  ASSERT_EQ(recorder.writes.size(), 5u);
+  for (const std::string& write : recorder.writes) {
+    ASSERT_FALSE(write.empty());
+    EXPECT_EQ(write.back(), '\n');
+    EXPECT_EQ(std::count(write.begin(), write.end(), '\n'), 1) << write;
+    EXPECT_NO_THROW(json::parse(write));
+  }
+}
+
+/// Input made on the fly, in chunks: `head`, then `filler` bytes of 'x'
+/// and a '\n', then `tail`. Counts the bytes handed to the reader.
+class GeneratedInput final : public std::streambuf {
+ public:
+  GeneratedInput(std::string head, std::size_t filler, std::string tail)
+      : head_(std::move(head)), filler_(filler), tail_(std::move(tail)) {}
+
+  std::size_t produced() const { return produced_; }
+
+ protected:
+  int_type underflow() override {
+    std::size_t n = 0;
+    while (n < sizeof chunk_) {
+      const std::size_t at = produced_ + n;
+      if (at < head_.size()) {
+        const std::size_t take = std::min(sizeof chunk_ - n, head_.size() - at);
+        std::memcpy(chunk_ + n, head_.data() + at, take);
+        n += take;
+      } else if (at < head_.size() + filler_) {
+        const std::size_t take =
+            std::min(sizeof chunk_ - n, head_.size() + filler_ - at);
+        std::memset(chunk_ + n, 'x', take);
+        n += take;
+      } else if (at == head_.size() + filler_) {
+        chunk_[n++] = '\n';
+      } else {
+        const std::size_t off = at - head_.size() - filler_ - 1;
+        if (off >= tail_.size()) break;
+        const std::size_t take = std::min(sizeof chunk_ - n, tail_.size() - off);
+        std::memcpy(chunk_ + n, tail_.data() + off, take);
+        n += take;
+      }
+    }
+    if (n == 0) return traits_type::eof();
+    produced_ += n;
+    setg(chunk_, chunk_, chunk_ + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::string head_;
+  std::size_t filler_;
+  std::string tail_;
+  std::size_t produced_ = 0;
+  char chunk_[1 << 16];
+};
+
+TEST(Serve, OversizedLineIsAnsweredAndEndsTheSession) {
+  // A line one byte over wire::kMaxLineBytes, streamed in chunks: the
+  // earlier request is answered, the long line gets one error line, and
+  // the session ends there, having read at most a chunk past the cap.
+  const std::string platform = platform_json(59);
+  const std::string request = R"({"id":"before","planner":"star","platform":)" +
+                              platform + R"(,"service":"dgemm-100"})";
+  const std::string after = R"({"id":"after","planner":"star","platform":)" +
+                            platform + R"(,"service":"dgemm-100"})" + "\n";
+  GeneratedInput source(request + "\n", wire::kMaxLineBytes + 1, after);
+  std::istream in(&source);
+  std::stringstream out;
+  io::ServeConfig config;
+  config.threads = 2;
+  const std::size_t answered = io::serve_session(in, out, config);
+  EXPECT_EQ(answered, 1u);
+  std::vector<json::Value> responses;
+  std::string line;
+  while (std::getline(out, line)) responses.push_back(json::parse(line));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].at("id").as_string(), "before");
+  EXPECT_TRUE(responses[0].at("ok").as_bool());
+  EXPECT_TRUE(responses[1].at("id").is_null());
+  EXPECT_FALSE(responses[1].at("ok").as_bool());
+  EXPECT_EQ(responses[1].at("error").as_string(),
+            "request line exceeds " + std::to_string(wire::kMaxLineBytes) +
+                " bytes");
+  EXPECT_LE(source.produced(), request.size() + 1 + wire::kMaxLineBytes +
+                                   (std::size_t{1} << 17));
+}
+
+TEST(Serve, LineOfExactlyTheCapIsRead) {
+  // The cap is inclusive: a line of kMaxLineBytes bytes is read whole
+  // (and, not being JSON, answered with a parse error), and the session
+  // goes on to the next line.
+  const std::string after = R"({"cmd":"stats"})" "\n";
+  GeneratedInput source("", wire::kMaxLineBytes, after);
+  std::istream in(&source);
+  std::stringstream out;
+  io::ServeConfig config;
+  config.threads = 1;
+  io::serve_session(in, out, config);
+  std::vector<json::Value> responses;
+  std::string line;
+  while (std::getline(out, line)) responses.push_back(json::parse(line));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(responses[0].at("error").as_string().find("JSON parse error"),
+            std::string::npos);
+  EXPECT_TRUE(responses[1].at("ok").as_bool());
 }
 
 }  // namespace

@@ -21,10 +21,12 @@
 #include "planner/shard_cache.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
+#include "wire_test_util.hpp"
 
 namespace adept {
 namespace {
 
+using test_util::random_wire_request;
 using test_util::run_planner;
 
 const MiddlewareParams kParams = MiddlewareParams::diet_grid5000();
@@ -395,24 +397,6 @@ TEST(Json, RandomDocumentsRoundTripExactly) {
     const std::string once = value.dump();
     EXPECT_EQ(json::parse(once).dump(), once) << "document " << i;
   }
-}
-
-/// One request of the randomized wire corpus: a random uniform platform
-/// (some nodes with their own link), random demand/excluded/shards/trace.
-PlanRequest random_wire_request(std::mt19937& seeds) {
-  Rng rng(seeds());
-  const std::size_t count = 2 + (seeds() % 30);
-  std::vector<NodeSpec> nodes =
-      gen::uniform(count, 100.0, 1500.0, kB, rng).nodes();
-  for (NodeSpec& node : nodes)
-    if (seeds() % 4 == 0) node.link = 10.0 + (seeds() % 2000);
-  PlanRequest request(std::make_shared<const Platform>(std::move(nodes), kB),
-                      kParams, dgemm_service(310));
-  if (seeds() % 2 == 0) request.options.demand = 1.0 + (seeds() % 1000);
-  if (seeds() % 3 == 0) request.options.excluded = {0};
-  request.options.shards = seeds() % 5;
-  request.options.verbose_trace = seeds() % 2 == 0;
-  return request;
 }
 
 TEST(Wire, RandomRequestsRoundTripBitExactly) {
