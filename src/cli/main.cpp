@@ -349,18 +349,8 @@ int cmd_plan(const std::vector<std::string>& args) {
       ShardPlanCache coordinator_cache(flags.shard_cache);
       if (flags.shard_cache > 0)
         request.options.shard_cache = &coordinator_cache;
-      run.planner = planner;
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        run.result = coordinator.plan(request);
-        run.ok = true;
-      } catch (const std::exception& e) {
-        run.error = e.what();
-        if (request.options.should_stop()) run.skipped = true;
-      }
-      run.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+      run = run_planner(planner, request.options,
+                        [&] { return coordinator.plan(request); });
     } else {
       run = service.run(request, planner);
     }

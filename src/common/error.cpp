@@ -4,8 +4,10 @@
 
 namespace adept::detail {
 
-void fail_check(const char* expr, const char* file, int line,
-                const std::string& message) {
+void fail_check(const std::string& message) { throw Error(message); }
+
+void fail_assert(const char* expr, const char* file, int line,
+                 const std::string& message) {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ':' << line;
   if (!message.empty()) os << " — " << message;

@@ -3,9 +3,9 @@
 /// \brief Error type and checked-invariant macros used across ADePT.
 ///
 /// ADePT reports user-facing failures (bad input files, infeasible plans)
-/// via adept::Error and programming errors via ADEPT_ASSERT, which aborts
-/// with a source location in debug and throws in release so callers can
-/// still surface a diagnostic.
+/// via ADEPT_CHECK, whose adept::Error carries only its message, and
+/// programming errors via ADEPT_ASSERT, whose adept::Error also names the
+/// failed expression and its source location.
 
 #include <stdexcept>
 #include <string>
@@ -20,22 +20,28 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-/// Builds the message for a failed check and throws adept::Error.
-[[noreturn]] void fail_check(const char* expr, const char* file, int line,
-                             const std::string& message);
+/// Throws adept::Error whose what() is `message` alone.
+[[noreturn]] void fail_check(const std::string& message);
+/// Throws adept::Error naming `expr` and its file:line before `message`.
+[[noreturn]] void fail_assert(const char* expr, const char* file, int line,
+                              const std::string& message);
 }  // namespace detail
 
 }  // namespace adept
 
-/// Validates a user-facing precondition; throws adept::Error on failure.
-/// `msg` is a std::string (or convertible) appended to the diagnostic.
+/// Validates a user-facing precondition; throws adept::Error whose what()
+/// is exactly `msg`, so what a client sees does not depend on the source
+/// text or the build location.
 #define ADEPT_CHECK(expr, msg)                                              \
   do {                                                                      \
-    if (!(expr)) {                                                          \
-      ::adept::detail::fail_check(#expr, __FILE__, __LINE__, (msg));        \
-    }                                                                       \
+    if (!(expr)) ::adept::detail::fail_check((msg));                        \
   } while (false)
 
-/// Internal invariant; same behaviour as ADEPT_CHECK but documents that a
-/// failure indicates a bug in ADePT rather than bad input.
-#define ADEPT_ASSERT(expr, msg) ADEPT_CHECK(expr, std::string("internal: ") + (msg))
+/// Internal invariant: a failure is a bug in ADePT, not bad input, so the
+/// error also names the expression and its file:line.
+#define ADEPT_ASSERT(expr, msg)                                             \
+  do {                                                                      \
+    if (!(expr))                                                            \
+      ::adept::detail::fail_assert(#expr, __FILE__, __LINE__,               \
+                                   std::string("internal: ") + (msg));      \
+  } while (false)

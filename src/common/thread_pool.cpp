@@ -51,12 +51,14 @@ void ThreadPool::for_each(std::size_t count,
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> failed{false};
+    std::atomic<std::uint64_t> evaluations{0};  ///< Moved off the drains.
     std::exception_ptr error;  ///< First exception; guarded by mutex.
     std::mutex mutex;
     std::condition_variable finished;
   };
   auto state = std::make_shared<State>(body, count);
   auto drain = [](const std::shared_ptr<State>& s) {
+    const std::uint64_t evaluations_before = detail::thread_evaluations;
     std::size_t completed = 0;
     for (std::size_t i; (i = s->next.fetch_add(1)) < s->count;) {
       // A body exception must not escape into worker_loop (which would
@@ -75,6 +77,9 @@ void ThreadPool::for_each(std::size_t count,
       ++completed;
     }
     if (completed == 0) return;
+    // One sum per drain, published before `done` so the caller sees it.
+    s->evaluations += detail::thread_evaluations - evaluations_before;
+    detail::thread_evaluations = evaluations_before;
     if (s->done.fetch_add(completed) + completed == s->count) {
       std::lock_guard<std::mutex> lock(s->mutex);
       s->finished.notify_all();
@@ -89,6 +94,7 @@ void ThreadPool::for_each(std::size_t count,
   std::unique_lock<std::mutex> lock(state->mutex);
   state->finished.wait(lock,
                        [&] { return state->done.load() == state->count; });
+  detail::thread_evaluations += state->evaluations.load();
   if (state->error != nullptr) std::rethrow_exception(state->error);
 }
 

@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -16,6 +17,13 @@
 #include <vector>
 
 namespace adept {
+
+namespace detail {
+/// Model evaluations counted on this thread (model::detail::
+/// count_evaluation increments it); ThreadPool::for_each moves what its
+/// helpers count for the caller back into the caller's count.
+inline thread_local std::uint64_t thread_evaluations = 0;
+}  // namespace detail
 
 /// Simple FIFO thread pool. Tasks may not throw; exceptions escaping a task
 /// terminate the program (tasks are expected to capture and report errors).
@@ -40,7 +48,8 @@ class ThreadPool {
   /// dynamically from a shared counter. If `body` throws, remaining
   /// indices are skipped and the first exception is rethrown on the
   /// caller — only after every in-flight index has finished, so the
-  /// body's captures never outlive the call.
+  /// body's captures never outlive the call. Evaluations the helpers
+  /// count for the body end up in the caller's detail::thread_evaluations.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// Blocks until all submitted tasks have finished.

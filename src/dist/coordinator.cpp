@@ -4,7 +4,6 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <optional>
 #include <string>
 #include <thread>
@@ -12,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "dist/stats.hpp"
+#include "planner/planning_service.hpp"
 #include "planner/shard_cache.hpp"
 #include "platform/partition.hpp"
 
@@ -29,22 +29,19 @@ WorkerPoolConfig pool_config(const CoordinatorConfig& config) {
 
 }  // namespace
 
-Coordinator::Coordinator(Transport& transport, CoordinatorConfig config,
-                         const PlannerRegistry& registry)
-    : config_(std::move(config)), registry_(registry) {
+Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
+    : config_(std::move(config)) {
   owned_pool_.emplace(transport, config_.workers, pool_config(config_));
 }
 
 Coordinator::Coordinator(std::vector<std::unique_ptr<Worker>> workers,
-                         CoordinatorConfig config,
-                         const PlannerRegistry& registry)
-    : config_(std::move(config)), registry_(registry) {
+                         CoordinatorConfig config)
+    : config_(std::move(config)) {
   owned_pool_.emplace(std::move(workers), pool_config(config_));
 }
 
-Coordinator::Coordinator(FleetSupervisor& fleet, CoordinatorConfig config,
-                         const PlannerRegistry& registry)
-    : config_(std::move(config)), registry_(registry), fleet_(&fleet) {}
+Coordinator::Coordinator(FleetSupervisor& fleet, CoordinatorConfig config)
+    : config_(std::move(config)), fleet_(&fleet) {}
 
 WorkerPool& Coordinator::pool() {
   ADEPT_CHECK(owned_pool_.has_value(),
@@ -138,17 +135,10 @@ void Coordinator::dispatch_leaves(
   // The in-process fallback: same registry planner, same (serial) path a
   // worker would run — so fallback plans are bit-identical to dispatched
   // ones and a worker loss is invisible in the result.
-  auto local_fallback = [this](const ShardJob& job) {
-    PlannerRun run;
-    run.planner = job.planner;
-    try {
-      run.result = registry_.at(job.planner).plan(job.request);
-      run.ok = true;
-    } catch (const std::exception& e) {
-      run.error = e.what();
-      if (job.request.options.should_stop()) run.skipped = true;
-    }
-    return run;
+  auto local_fallback = [](const ShardJob& job) {
+    return run_planner(job.planner, job.request.options, [&job] {
+      return PlannerRegistry::instance().at(job.planner).plan(job.request);
+    });
   };
 
   std::vector<ShardJob> dispatch;

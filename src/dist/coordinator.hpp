@@ -56,14 +56,11 @@ class Coordinator {
  public:
   /// Spawns `config.workers` workers from `transport`, which must
   /// outlive the coordinator.
-  explicit Coordinator(Transport& transport, CoordinatorConfig config = {},
-                       const PlannerRegistry& registry =
-                           PlannerRegistry::instance());
+  explicit Coordinator(Transport& transport, CoordinatorConfig config = {});
 
   /// Adopts pre-spawned workers (fault-injection tests).
   Coordinator(std::vector<std::unique_ptr<Worker>> workers,
-              CoordinatorConfig config = {},
-              const PlannerRegistry& registry = PlannerRegistry::instance());
+              CoordinatorConfig config = {});
 
   /// Borrows a long-lived supervised fleet instead of building one:
   /// every dispatch takes a lease on `fleet` for the batch, so the
@@ -71,8 +68,7 @@ class Coordinator {
   /// `config.workers` / timeout knobs are ignored in favour of the
   /// fleet's own SupervisorConfig; the fleet must outlive the
   /// coordinator.
-  Coordinator(FleetSupervisor& fleet, CoordinatorConfig config = {},
-              const PlannerRegistry& registry = PlannerRegistry::instance());
+  Coordinator(FleetSupervisor& fleet, CoordinatorConfig config = {});
 
   /// Plans `request` bit-identically with the registry's "sharded"
   /// planner, streaming shard responses into the stitch
@@ -99,7 +95,6 @@ class Coordinator {
                        const ShardResultSink& sink);
 
   CoordinatorConfig config_;
-  const PlannerRegistry& registry_;
   std::optional<WorkerPool> owned_pool_;   ///< Null when fleet-borrowing.
   FleetSupervisor* fleet_ = nullptr;       ///< Null when pool-owning.
 };

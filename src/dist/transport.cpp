@@ -29,7 +29,7 @@
 // cache-key serializer, this is a deliberate .cpp-local upward reference
 // into the io layer of the same static library.
 #include "io/wire.hpp"
-#include "model/evaluate.hpp"
+#include "planner/planning_service.hpp"
 
 namespace adept::dist {
 
@@ -135,9 +135,6 @@ namespace {
 /// Answers serve-protocol lines by planning on the receiving thread.
 class InProcessWorker final : public Worker {
  public:
-  explicit InProcessWorker(const PlannerRegistry& registry)
-      : registry_(registry) {}
-
   bool send(const std::string& line) final {
     if (!alive_) return false;
     inbox_.push_back(line);
@@ -172,21 +169,11 @@ class InProcessWorker final : public Worker {
       wire::ServeRequest decoded = parsed.request();
       decoded.arm_deadline();
       const PlanRequest& request = decoded.request;
-      PlannerRun run;
-      run.planner = decoded.planner;
-      const std::uint64_t evals_before = model::evaluations_on_this_thread();
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        run.result = registry_.at(run.planner).plan(request);
-        run.ok = true;
-      } catch (const std::exception& e) {
-        run.error = e.what();
-        if (request.options.should_stop()) run.skipped = true;
-      }
-      run.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      run.evaluations = model::evaluations_on_this_thread() - evals_before;
+      const PlannerRun run =
+          run_planner(decoded.planner, request.options, [&] {
+            return PlannerRegistry::instance().at(decoded.planner).plan(
+                request);
+          });
       response.set("ok", run.ok);
       if (!run.ok) response.set("error", run.error);
       response.set("run", wire::to_json(run));
@@ -197,7 +184,6 @@ class InProcessWorker final : public Worker {
     return response.dump();
   }
 
-  const PlannerRegistry& registry_;
   std::deque<std::string> inbox_;
   bool alive_ = true;
 };
@@ -444,7 +430,7 @@ class SocketWorker final : public Worker {
 
 std::unique_ptr<Worker> InProcessTransport::spawn() {
   ++detail::counters().workers_spawned;
-  return std::make_unique<InProcessWorker>(registry_);
+  return std::make_unique<InProcessWorker>();
 }
 
 PipeTransport::PipeTransport(std::vector<std::string> argv)

@@ -38,8 +38,6 @@
 #include <sys/types.h>
 #include <vector>
 
-#include "planner/registry.hpp"
-
 namespace adept::dist {
 
 /// One serve-protocol endpoint (see the file comment for the contract).
@@ -83,15 +81,8 @@ class Transport {
 /// the pool driving several workers from separate drain threads.
 class InProcessTransport final : public Transport {
  public:
-  explicit InProcessTransport(
-      const PlannerRegistry& registry = PlannerRegistry::instance())
-      : registry_(registry) {}
-
   const char* name() const final { return "in-process"; }
   std::unique_ptr<Worker> spawn() final;
-
- private:
-  const PlannerRegistry& registry_;
 };
 
 /// Subprocess transport: each worker is `argv` fork/exec'd with its

@@ -202,8 +202,9 @@ class Session {
     }
     if (name == "stats") {
       // Queued like any request: the writer answers it only after every
-      // earlier response has been written, so the snapshot reflects all
-      // previously-answered requests without racing in-flight jobs.
+      // earlier response has been written, so its counters include every
+      // request answered before it. They may also include requests read
+      // after it that happened to finish first.
       Pending pending;
       pending.is_stats = true;
       enqueue(std::move(pending));

@@ -1,17 +1,16 @@
 #include "model/evaluate.hpp"
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace adept::model {
 
-namespace {
-thread_local std::uint64_t evaluation_count = 0;
-}  // namespace
-
-std::uint64_t evaluations_on_this_thread() { return evaluation_count; }
+std::uint64_t evaluations_on_this_thread() {
+  return adept::detail::thread_evaluations;
+}
 
 namespace detail {
-void count_evaluation() { ++evaluation_count; }
+void count_evaluation() { ++adept::detail::thread_evaluations; }
 }  // namespace detail
 
 const char* bottleneck_name(Bottleneck bottleneck) {

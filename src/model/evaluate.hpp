@@ -61,10 +61,12 @@ ThroughputReport evaluate_unchecked(const Hierarchy& hierarchy,
                                     const ServiceSpec& service);
 
 /// Number of whole-hierarchy evaluations (evaluate, evaluate_unchecked,
-/// evaluate_hetero) performed by the calling thread since it started.
-/// The PlanningService differences this around each planner run to report
-/// per-run model-evaluation counts; thread-locality makes the attribution
-/// exact because one run executes on one worker thread.
+/// evaluate_hetero) counted on the calling thread since it started,
+/// including those ThreadPool::for_each ran on helper threads for it.
+/// run_planner (planner/planning_service.hpp) differences this around
+/// each planner call, so a run counts its work on every pool thread.
+/// Threads outside a for_each — the distributed tier's drain threads and
+/// worker processes — are not folded in.
 std::uint64_t evaluations_on_this_thread();
 
 namespace detail {

@@ -203,41 +203,72 @@ CacheConfig PlanningService::cache_config() const {
 
 // --------------------------------------------------------------- execution --
 
+PlannerRun run_planner(const std::string& name, const PlanOptions& options,
+                       const std::function<PlanResult()>& plan) {
+  PlannerRun run;
+  run.planner = name;
+  const std::uint64_t evaluations_before = model::evaluations_on_this_thread();
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    run.result = plan();
+    run.ok = true;
+  } catch (const std::exception& e) {
+    run.error = e.what();
+  } catch (...) {
+    run.error = "unknown planner failure";
+  }
+  // A cancel/deadline that stops the planner mid-flight at a StopGuard
+  // checkpoint surfaces as a planner exception; classify it as skipped,
+  // not failed.
+  if (!run.ok && options.should_stop()) run.skipped = true;
+  run.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  run.evaluations = model::evaluations_on_this_thread() - evaluations_before;
+  return run;
+}
+
 PlannerRun PlanningService::execute(const PlanRequest& request,
                                     const std::string& planner) {
-  PlannerRun run;
-  run.planner = planner;
   if (request.options.should_stop()) {
+    PlannerRun run;
+    run.planner = planner;
     run.skipped = true;
     run.error = request.options.cancelled() ? "cancelled"
                                             : "deadline exceeded";
     return run;
   }
-  const std::uint64_t evals_before = model::evaluations_on_this_thread();
-  const auto start = std::chrono::steady_clock::now();
+  // Consult the plan cache before spending planner time. The key covers
+  // platform content + params + service + plan-relevant options, so a
+  // hit is guaranteed to be the same planning problem. An unkeyable
+  // request (null platform, NaN demand) fails its run with the keying
+  // error like any planner failure.
+  bool plan_cache_on = false;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    plan_cache_on = cache_capacity_ != 0;
+  }
   std::string cache_key;
-  try {
-    // Consult the plan cache before spending planner time. The key
-    // covers platform content + params + service + plan-relevant
-    // options, so a hit is guaranteed to be the same planning problem.
-    // Keying is inside the try: an invalid request (null platform, NaN
-    // demand) must land in run.error like any planner failure — never
-    // escape into a pool worker.
-    bool plan_cache_on = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      plan_cache_on = cache_capacity_ != 0;
-    }
-    if (plan_cache_on) {
+  std::exception_ptr unkeyable;
+  if (plan_cache_on) {
+    try {
       cache_key = detail::request_key(request, planner);
-      // Answered from the cache, coalesced onto an identical in-flight
-      // job, or stopped while waiting; otherwise this job is the leader
-      // for the key and must publish its outcome via cache_finish below.
-      if (cache_wait_or_begin(cache_key, run, request.options)) {
-        if (run.cached) planner_metrics(planner).cache_hits->inc();
-        return run;
-      }
+    } catch (...) {
+      unkeyable = std::current_exception();
     }
+    // Answered from the cache, coalesced onto an identical in-flight job,
+    // or stopped while waiting; otherwise this job is the leader for the
+    // key and must publish its outcome via cache_finish below.
+    PlannerRun answered;
+    answered.planner = planner;
+    if (unkeyable == nullptr &&
+        cache_wait_or_begin(cache_key, answered, request.options)) {
+      if (answered.cached) planner_metrics(planner).cache_hits->inc();
+      return answered;
+    }
+  }
+  PlannerRun run = run_planner(planner, request.options, [&] {
+    if (unkeyable != nullptr) std::rethrow_exception(unkeyable);
     // Offer the service's pool for the planner's internal parallelism
     // (the heuristic's per-k sweep). Safe when this job itself runs on a
     // pool worker: ThreadPool::for_each has the submitting thread
@@ -251,22 +282,8 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
     if (effective.options.shard_cache == nullptr &&
         shard_cache_.capacity() != 0)
       effective.options.shard_cache = &shard_cache_;
-    const IPlanner& impl = registry_.at(planner);
-    run.result = impl.plan(effective);
-    run.ok = true;
-  } catch (const std::exception& e) {
-    run.error = e.what();
-  } catch (...) {
-    run.error = "unknown planner failure";
-  }
-  // A cancel/deadline that lands after the pre-check above — or stops the
-  // planner mid-flight at a StopGuard checkpoint — surfaces as a planner
-  // exception; classify it as skipped, not failed.
-  if (!run.ok && request.options.should_stop()) run.skipped = true;
-  const auto end = std::chrono::steady_clock::now();
-  run.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  run.evaluations = model::evaluations_on_this_thread() - evals_before;
+    return registry_.at(planner).plan(effective);
+  });
   if (!cache_key.empty()) cache_finish(cache_key, run);
   // Per-planner latency covers runs that actually planned (cache hits
   // return above; skipped runs never exercised this planner).
@@ -311,11 +328,9 @@ std::vector<PlannerRun> PlanningService::run_batch(
   // inside a pool worker (submit_portfolio's orchestration job) makes
   // progress even on a single-worker pool.
   pool().for_each(jobs.size(), [this, &jobs, &out](std::size_t i) {
-    // execute() never throws (the pool terminates on escaping
-    // exceptions); failures land in the PlannerRun.
-    PlannerRun run = execute(jobs[i].request, jobs[i].planner);
-    record(run);
-    out[i] = std::move(run);
+    // run() never throws (the pool terminates on escaping exceptions);
+    // failures land in the PlannerRun.
+    out[i] = run(jobs[i].request, jobs[i].planner);
   });
   return out;
 }
@@ -351,13 +366,14 @@ PortfolioResult PlanningService::run_portfolio(
 
 // ------------------------------------------------------------------- async --
 
-PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
-  auto state = std::make_shared<detail::TicketState<PlannerRun>>(
+template <typename Result, typename Fn>
+Ticket<Result> PlanningService::submit_ticket(PlanRequest request, Fn job) {
+  auto state = std::make_shared<detail::TicketState<Result>>(
       request.options.cancel);
   request.options.cancel = &state->cancel;
   pending_jobs_.fetch_add(1, std::memory_order_relaxed);
   pool().submit([this, state, request = std::move(request),
-                 planner = std::move(planner)] {
+                 job = std::move(job)] {
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->started = true;
@@ -366,55 +382,45 @@ PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
                                  std::chrono::steady_clock::now() -
                                  state->submitted)
                                  .count());
-    PlannerRun run = execute(request, planner);
-    record(run);
+    Result result = job(request);
     {
       std::lock_guard<std::mutex> lock(state->mutex);
-      state->result = std::move(run);
+      state->result = std::move(result);
       state->done = true;
     }
     state->cv.notify_all();
     pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
   });
-  return PlanTicket(std::move(state));
+  return Ticket<Result>(std::move(state));
+}
+
+PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
+  return submit_ticket<PlannerRun>(
+      std::move(request),
+      [this, planner = std::move(planner)](const PlanRequest& r) {
+        return run(r, planner);
+      });
 }
 
 PortfolioTicket PlanningService::submit_portfolio(
     PlanRequest request, std::vector<std::string> planners) {
-  auto state = std::make_shared<detail::TicketState<PortfolioResult>>(
-      request.options.cancel);
-  request.options.cancel = &state->cancel;
-  pending_jobs_.fetch_add(1, std::memory_order_relaxed);
-  pool().submit([this, state, request = std::move(request),
-                 planners = std::move(planners)] {
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->started = true;
-    }
-    h_queue_wait_ms_->record(std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() -
-                                 state->submitted)
-                                 .count());
-    PortfolioResult portfolio;
-    try {
-      portfolio = run_portfolio(request, planners);
-    } catch (const std::exception& e) {
-      // e.g. "portfolio has no planners to run" — deliver an empty,
-      // winnerless result carrying the error instead of killing the pool.
-      PlannerRun failure;
-      failure.error = e.what();
-      portfolio.runs.push_back(std::move(failure));
-      portfolio.scores.push_back(0.0);
-    }
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      state->result = std::move(portfolio);
-      state->done = true;
-    }
-    state->cv.notify_all();
-    pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
-  });
-  return PortfolioTicket(std::move(state));
+  return submit_ticket<PortfolioResult>(
+      std::move(request),
+      [this, planners = std::move(planners)](const PlanRequest& r) {
+        PortfolioResult portfolio;
+        try {
+          portfolio = run_portfolio(r, planners);
+        } catch (const std::exception& e) {
+          // e.g. "portfolio has no planners to run" — deliver an empty,
+          // winnerless result carrying the error instead of killing the
+          // pool.
+          PlannerRun failure;
+          failure.error = e.what();
+          portfolio.runs.push_back(std::move(failure));
+          portfolio.scores.push_back(0.0);
+        }
+        return portfolio;
+      });
 }
 
 PlanningStats PlanningService::stats() const {

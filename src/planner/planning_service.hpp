@@ -48,6 +48,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <map>
@@ -76,6 +77,14 @@ struct PlannerRun {
   double wall_ms = 0.0;       ///< Planner wall time (~0 on cache hits).
   std::uint64_t evaluations = 0;  ///< Eq-16 evaluations during the run.
 };
+
+/// Turns one planner call into a PlannerRun: times `plan()`, counts its
+/// model evaluations on every pool thread, puts any exception into
+/// `error` ("unknown planner failure" for a non-std throw) and marks a
+/// failure `skipped` when `options` say stop. What `plan()` throws never
+/// escapes.
+PlannerRun run_planner(const std::string& name, const PlanOptions& options,
+                       const std::function<PlanResult()>& plan);
 
 /// Result of a portfolio run over one request.
 struct PortfolioResult {
@@ -236,8 +245,8 @@ class PlanningService {
     std::string planner;  ///< Registry name to run it with.
   };
 
-  /// `threads` = 0 means hardware_concurrency. The registry defaults to
-  /// the process-wide instance; tests may inject their own.
+  /// `threads` = 0 means hardware_concurrency. `registry` can only be
+  /// PlannerRegistry::instance() (its constructor is private).
   /// `cache` configures the whole-request plan cache, the shard-level
   /// sub-plan cache and single-flight coalescing (see CacheConfig); the
   /// default disables both caches.
@@ -312,6 +321,10 @@ class PlanningService {
 
  private:
   PlannerRun execute(const PlanRequest& request, const std::string& planner);
+  /// Enqueues `job(request)` behind a ticket whose cancel() reaches the
+  /// request; records the queue wait and keeps pending_jobs() current.
+  template <typename Result, typename Fn>
+  Ticket<Result> submit_ticket(PlanRequest request, Fn job);
   void record(const PlannerRun& run);
   /// Single-flight cache front: true (and fills `run`) when the job is
   /// answered — by a cached entry, by a coalesced in-flight result, or

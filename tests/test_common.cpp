@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <set>
+#include <thread>
 
 #include "common/argparse.hpp"
 #include "common/error.hpp"
@@ -313,6 +315,28 @@ TEST(ThreadPool, ParallelForSingleThreadIsSequential) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
+TEST(ThreadPool, ForEachFoldsHelperEvaluationsIntoTheCaller) {
+  // Index i counts i + 1 evaluations wherever it runs; the caller must
+  // end up with all of them, and with the same total on every call,
+  // however the indices were spread over the helpers. The inner for_each
+  // folds into whichever thread ran the outer index, which the outer
+  // call folds in turn.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    std::atomic<int> on_helpers{0};
+    const std::uint64_t before = detail::thread_evaluations;
+    pool.for_each(16, [&](std::size_t i) {
+      if (std::this_thread::get_id() != caller) ++on_helpers;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      detail::thread_evaluations += i + 1;
+      pool.for_each(3, [](std::size_t) { ++detail::thread_evaluations; });
+    });
+    EXPECT_EQ(detail::thread_evaluations - before, 16u * 17u / 2u + 16u * 3u);
+    EXPECT_GT(on_helpers.load(), 0);  // the fold was exercised
+  }
+}
+
 // ---------------------------------------------------------------- units --
 
 TEST(Units, Conversions) {
@@ -323,13 +347,25 @@ TEST(Units, Conversions) {
 // ---------------------------------------------------------------- error --
 
 TEST(Error, CheckMacroThrowsWithContext) {
+  // A user-facing check reports its message and nothing else: no C++
+  // expression, no source path that would change with the build.
   try {
     ADEPT_CHECK(1 == 2, "math is broken");
     FAIL() << "expected throw";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "math is broken");
+  }
+}
+
+TEST(Error, AssertMacroNamesTheExpressionAndLocation) {
+  try {
+    ADEPT_ASSERT(1 == 2, "invariant broken");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
-    EXPECT_NE(what.find("math is broken"), std::string::npos);
+    EXPECT_NE(what.find("test_common.cpp:"), std::string::npos);
+    EXPECT_NE(what.find("internal: invariant broken"), std::string::npos);
   }
 }
 

@@ -28,13 +28,16 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dist/stats.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker_pool.hpp"
 #include "dist_test_util.hpp"
+#include "io/wire.hpp"
 #include "planner/planner.hpp"
+#include "planner/planning_service.hpp"
 #include "planner/shard_cache.hpp"
 #include "planner/sharded.hpp"
 #include "planning_test_util.hpp"
@@ -286,6 +289,84 @@ TEST(Dist, CoordinatorStreamsIntoTheStitchAndMatchesSharded) {
   expect_identical(coordinator.plan(make_request(platform)), sharded,
                    "streaming coordinator");
   EXPECT_GT(stats_snapshot().streamed, 0u);
+}
+
+// ---------------------------------------------------- one run policy --
+
+/// `run` as wire JSON with its timing-dependent fields zeroed.
+std::string stable_run(const PlannerRun& run) {
+  json::Value value = wire::to_json(run);
+  value.set("wall_ms", 0);
+  value.set("evaluations", 0);
+  return value.dump();
+}
+
+/// The in-process worker's answer to `request` planned by `planner`.
+PlannerRun in_process_answer(const PlanRequest& request,
+                             const std::string& planner) {
+  InProcessTransport transport;
+  const std::unique_ptr<Worker> worker = transport.spawn();
+  json::Value line = wire::to_json(request);
+  line.set("planner", planner);
+  EXPECT_TRUE(worker->send(line.dump()));
+  std::string answer;
+  EXPECT_TRUE(worker->receive(answer, 1000.0));
+  return wire::planner_run_from_json(json::parse(answer).at("run"));
+}
+
+/// A coordinator whose only worker is dead, so every leaf is planned by
+/// `leaf_planner` through the local fallback; its run is named `name`.
+PlannerRun fallback_coordinator_run(const PlanRequest& request,
+                                    const std::string& name,
+                                    const std::string& leaf_planner) {
+  InProcessTransport transport;
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.push_back(transport.spawn());
+  workers.front()->kill();
+  CoordinatorConfig config;
+  config.leaf_planner = leaf_planner;
+  Coordinator coordinator(std::move(workers), config);
+  return adept::run_planner(name, request.options,
+                            [&] { return coordinator.plan(request); });
+}
+
+TEST(Dist, EveryCallerReportsARunAsThePlanningServiceDoes) {
+  // One run policy: the in-process worker's answer and a coordinator
+  // planning every leaf through its fallback report ok, skipped, error
+  // and result exactly as PlanningService::run does, on plans and on
+  // failures alike. A coordinator plans as `sharded` does with its leaf
+  // planner per shard, so an unknown leaf planner must fail with the
+  // unknown planner's own error.
+  const Platform platform = multi_cluster(120);
+  const Platform solo({NodeSpec{"solo", 1000.0}}, 1000.0);
+  const PlanRequest plannable = make_request(platform);
+  const PlanRequest lone_node = make_request(solo);
+  struct Case {
+    const char* what;
+    const PlanRequest* request;
+    std::string planner;
+    std::string leaf;  ///< Coordinator leaf planner; empty: not comparable.
+  };
+  const std::vector<Case> cases = {
+      {"heuristic plan", &plannable, "heuristic", ""},
+      {"sharded plan", &plannable, "sharded", "heuristic"},
+      {"unknown planner", &plannable, "no-such-planner", "no-such-planner"},
+      {"invalid platform", &lone_node, "sharded", "heuristic"}};
+  PlanningService service(2);
+  for (const Case& c : cases) {
+    const PlannerRun reference = service.run(*c.request, c.planner);
+    EXPECT_EQ(reference.ok, c.request == &plannable &&
+                                c.planner != "no-such-planner")
+        << c.what;
+    EXPECT_EQ(stable_run(in_process_answer(*c.request, c.planner)),
+              stable_run(reference))
+        << c.what;
+    if (!c.leaf.empty())
+      EXPECT_EQ(stable_run(fallback_coordinator_run(*c.request, c.planner,
+                                                    c.leaf)),
+                stable_run(reference))
+          << c.what;
+  }
 }
 
 // ----------------------------------------------------- fault injection --

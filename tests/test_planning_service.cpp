@@ -465,6 +465,88 @@ TEST(PlanningService_, AcceptsAnExternalMetricsRegistry) {
   EXPECT_EQ(first.stats().jobs, 2u);  // the view reads the shared registry
 }
 
+TEST(PlanningService_, EvaluationsDoNotDependOnTheThreadCount) {
+  // The heuristic's (polarity, k) sweep and the sharded leaves run on
+  // pool helper threads; ThreadPool::for_each hands their evaluation
+  // counts back to the run, so every thread count reports the serial
+  // (one-thread) count, run after run.
+  Rng rng(3);
+  const Platform platform = gen::grid5000_multi_cluster(240, rng);
+  const PlanRequest request(platform, kParams, dgemm_service(310));
+  for (const char* planner : {"heuristic", "sharded"}) {
+    PlanningService serial(1);
+    const PlannerRun reference = serial.run(request, planner);
+    ASSERT_TRUE(reference.ok) << planner << ": " << reference.error;
+    EXPECT_GT(reference.evaluations, 0u) << planner;
+    for (const std::size_t threads : {2u, 4u}) {
+      PlanningService service(threads);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        const PlannerRun run = service.run(request, planner);
+        EXPECT_EQ(run.evaluations, reference.evaluations)
+            << planner << " on " << threads << " threads";
+      }
+      EXPECT_EQ(service.stats().evaluations, 3 * reference.evaluations)
+          << planner << " on " << threads << " threads";
+    }
+  }
+}
+
+// ------------------------------------------------------------ run_planner --
+
+TEST(RunPlanner, OkPlanCarriesTheResultAndItsEvaluations) {
+  const Platform platform = gen::homogeneous(12, 1000.0, kB);
+  const PlanRequest request(platform, kParams, dgemm_service(310));
+  const PlannerRun run = adept::run_planner("heuristic", request.options, [&] {
+    return PlannerRegistry::instance().at("heuristic").plan(request);
+  });
+  EXPECT_EQ(run.planner, "heuristic");
+  EXPECT_TRUE(run.ok);
+  EXPECT_FALSE(run.skipped);
+  EXPECT_FALSE(run.cached);
+  EXPECT_TRUE(run.error.empty());
+  EXPECT_GT(run.evaluations, 0u);
+  EXPECT_GE(run.wall_ms, 0.0);
+  expect_identical(run.result,
+                   run_planner("heuristic", platform, dgemm_service(310)),
+                   "run_planner");
+}
+
+TEST(RunPlanner, StdExceptionBecomesTheError) {
+  const PlannerRun run =
+      adept::run_planner("failing", PlanOptions{}, []() -> PlanResult {
+        throw Error("no plan for this platform");
+      });
+  EXPECT_EQ(run.planner, "failing");
+  EXPECT_FALSE(run.ok);
+  EXPECT_FALSE(run.skipped);
+  EXPECT_EQ(run.error, "no plan for this platform");
+  EXPECT_EQ(run.evaluations, 0u);
+}
+
+TEST(RunPlanner, NonStdThrowIsAnUnknownPlannerFailure) {
+  const PlannerRun run = adept::run_planner(
+      "failing", PlanOptions{}, []() -> PlanResult { throw 42; });
+  EXPECT_FALSE(run.ok);
+  EXPECT_FALSE(run.skipped);
+  EXPECT_EQ(run.error, "unknown planner failure");
+}
+
+TEST(RunPlanner, ThrowWhileCancelledIsSkipped) {
+  // A cancel that lands mid-flight stops the planner at a checkpoint,
+  // which throws: the run is skipped, not failed, and keeps the text.
+  CancelToken token;
+  PlanOptions options;
+  options.cancel = &token;
+  const PlannerRun run =
+      adept::run_planner("cancelled", options, [&]() -> PlanResult {
+        token.cancel();
+        throw Error("planning cancelled");
+      });
+  EXPECT_FALSE(run.ok);
+  EXPECT_TRUE(run.skipped);
+  EXPECT_EQ(run.error, "planning cancelled");
+}
+
 // -------------------------------------------------- seed reproducibility --
 
 TEST(GeneratorSeeds, SameSeedSamePlatformFile) {
