@@ -38,16 +38,17 @@
 ///   - the streamed stitch tail is >= 2x shorter than the batch tail
 ///     (tail_speedup, typically ~10x; gated in CI via bench_gate).
 ///
-/// A chaos section then drives a *supervised* pipe fleet through a
+/// A chaos section then drives a *respawning* pipe fleet through a
 /// kill-rate sweep (ISSUE-7's acceptance contract):
 ///   - dist-chaos-flap    — every worker answers one shard and dies; the
-///     supervisor respawns between rounds, so the request is still
+///     pool respawns between rounds, so the request is still
 ///     answered by workers (0 fallbacks) and stays bit-identical;
 ///   - dist-chaos-storm   — every worker (and every respawn) dies before
 ///     answering; the fallback answers bit-identically;
-///   - dist-chaos-recovered — the storm ends, the heartbeat refills the
-///     fleet, and throughput must recover to >= 0.9x the clean pipe run
-///     (recovered_vs_clean, gated in CI).
+///   - dist-chaos-recovered — the storm ends, a supervision pass
+///     (respawn_due + health_check) refills the fleet, and throughput
+///     must recover to >= 0.9x the clean pipe run (recovered_vs_clean,
+///     gated in CI).
 /// All three must finish with zero client-visible failures.
 ///
 ///   ./bench_dist [--count N] [--workers N] [--seed N]
@@ -70,7 +71,6 @@
 #include "common/thread_pool.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/stats.hpp"
-#include "dist/supervisor.hpp"
 #include "dist/transport.hpp"
 #include "planner/planner.hpp"
 #include "planner/sharded.hpp"
@@ -109,7 +109,7 @@ std::vector<std::string> shell(const std::string& script) {
   return {"bash", "-c", script};
 }
 
-/// One chaos phase: plan through a borrowed supervised fleet, timing the
+/// One chaos phase: plan through a borrowed respawning fleet, timing the
 /// run and counting client-visible failures (a thrown plan) instead of
 /// letting one abort the sweep.
 struct ChaosRun {
@@ -118,7 +118,7 @@ struct ChaosRun {
   adept::dist::DistStats delta;  ///< Counter movement during the run.
 };
 
-ChaosRun chaos_plan(adept::dist::FleetSupervisor& fleet,
+ChaosRun chaos_plan(adept::dist::WorkerPool& fleet,
                     const adept::PlanRequest& request) {
   using adept::dist::stats_snapshot;
   ChaosRun out;
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
       stream_tail_ms > 0.0 ? batch_tail_ms / stream_tail_ms : 0.0;
   const bool stream_identical = identical(streamed.plan, tail_stream_plan);
 
-  // ---- chaos: supervised fleet under a kill-rate sweep ------------------
+  // ---- chaos: respawning fleet under a kill-rate sweep ------------------
   const std::string worker_cmd =
       parser.get("binary") + " serve --jobs 1 --cache 0";
   const std::string sentinel =
@@ -337,17 +337,17 @@ int main(int argc, char** argv) {
        ("adept_bench_storm_" + std::to_string(::getpid())))
           .string();
 
-  dist::SupervisorConfig chaos_config;
-  chaos_config.workers = workers;
-  chaos_config.pool.respawn_backoff_ms = 0.0;
-  chaos_config.pool.max_retries = 64;
+  dist::WorkerPoolConfig chaos_config;
+  chaos_config.respawn = true;
+  chaos_config.respawn_backoff_ms = 0.0;
+  chaos_config.max_retries = 64;
 
   // Flap: every worker answers exactly one shard and dies; each round
-  // makes progress and the supervisor refills the fleet between rounds.
+  // makes progress and the pool refills the fleet between rounds.
   dist::PipeTransport flap_transport(shell("head -n 1 | exec " + worker_cmd));
   ChaosRun flap;
   {
-    dist::FleetSupervisor fleet(flap_transport, chaos_config);
+    dist::WorkerPool fleet(flap_transport, workers, chaos_config);
     flap = chaos_plan(fleet, request);
   }
 
@@ -360,12 +360,14 @@ int main(int argc, char** argv) {
   ChaosRun storm;
   ChaosRun recovered;
   {
-    dist::SupervisorConfig storm_config = chaos_config;
-    storm_config.pool.max_retries = 1;  // fall back fast under a full storm
-    dist::FleetSupervisor fleet(storm_transport, storm_config);
+    dist::WorkerPoolConfig storm_config = chaos_config;
+    storm_config.max_retries = 1;  // fall back fast under a full storm
+    dist::WorkerPool fleet(storm_transport, workers, storm_config);
     storm = chaos_plan(fleet, request);
     std::filesystem::remove(sentinel);
-    fleet.heartbeat();  // refill the fleet before timing the recovery
+    // Refill the fleet before timing the recovery.
+    fleet.respawn_due();
+    fleet.health_check();
     recovered = chaos_plan(fleet, request);
     // Best-of-two on the warm fleet damps scheduler noise on shared
     // runners; identity is still checked on the first recovered plan.

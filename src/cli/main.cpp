@@ -339,9 +339,9 @@ int cmd_plan(const std::vector<std::string>& args) {
         ADEPT_CHECK(workers >= 1, "--workers must be >= 1");
         fleet_size = static_cast<std::size_t>(workers);
       }
-      dist::SupervisorConfig fleet_config;
-      fleet_config.workers = fleet_size;
-      dist::FleetSupervisor fleet(*transport, fleet_config);
+      dist::WorkerPoolConfig fleet_config;
+      fleet_config.respawn = true;
+      dist::WorkerPool fleet(*transport, fleet_size, fleet_config);
       dist::Coordinator coordinator(fleet);
       // The coordinator path bypasses the PlanningService, so hand it a
       // coordinator-side shard cache directly: repeated/overlapping shard

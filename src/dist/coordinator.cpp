@@ -4,7 +4,6 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "common/error.hpp"
 #include "dist/stats.hpp"
 #include "planner/planning_service.hpp"
-#include "planner/shard_cache.hpp"
 #include "platform/partition.hpp"
 
 namespace adept::dist {
@@ -30,30 +28,18 @@ WorkerPoolConfig pool_config(const CoordinatorConfig& config) {
 }  // namespace
 
 Coordinator::Coordinator(Transport& transport, CoordinatorConfig config)
-    : config_(std::move(config)) {
-  owned_pool_.emplace(transport, config_.workers, pool_config(config_));
-}
+    : config_(std::move(config)),
+      owned_pool_(std::in_place, transport, config_.workers,
+                  pool_config(config_)),
+      pool_(&*owned_pool_) {}
 
 Coordinator::Coordinator(std::vector<std::unique_ptr<Worker>> workers,
                          CoordinatorConfig config)
-    : config_(std::move(config)) {
-  owned_pool_.emplace(std::move(workers), pool_config(config_));
-}
+    : config_(std::move(config)),
+      owned_pool_(std::in_place, std::move(workers), pool_config(config_)),
+      pool_(&*owned_pool_) {}
 
-Coordinator::Coordinator(FleetSupervisor& fleet, CoordinatorConfig config)
-    : config_(std::move(config)), fleet_(&fleet) {}
-
-WorkerPool& Coordinator::pool() {
-  ADEPT_CHECK(owned_pool_.has_value(),
-              "a borrowed fleet is reached through its FleetSupervisor");
-  return *owned_pool_;
-}
-
-const WorkerPool& Coordinator::pool() const {
-  ADEPT_CHECK(owned_pool_.has_value(),
-              "a borrowed fleet is reached through its FleetSupervisor");
-  return *owned_pool_;
-}
+Coordinator::Coordinator(WorkerPool& pool) : pool_(&pool) {}
 
 PlanResult Coordinator::plan(const PlanRequest& request) {
   ++detail::counters().plans;
@@ -63,140 +49,77 @@ PlanResult Coordinator::plan(const PlanRequest& request) {
         options.excluded.clear();  // applied by plan_excluding already
         const plat::Partition partition =
             plat::partition_platform(platform, options.shards);
-        auto plan_leaves =
-            [this, &platform, &r,
-             &options](const std::vector<std::vector<NodeId>>& leaves,
-                       const ShardResultSink& sink) {
-              dispatch_leaves(platform, r, options, leaves, sink);
-            };
-        return plan_sharded_streamed(platform, r.params, r.service, options,
-                                     partition, config_.stitch_fanout,
-                                     plan_leaves);
+        // The shared shard-leaf path probes the shard cache and hands
+        // only the misses to the fleet.
+        auto plan_misses = [this](const std::vector<ShardLeafMiss>& misses,
+                                  const ShardMissSink& deliver) {
+          std::vector<ShardJob> jobs;
+          jobs.reserve(misses.size());
+          for (const ShardLeafMiss& miss : misses)
+            jobs.push_back({miss.request, config_.leaf_planner});
+          // The in-process fallback: same registry planner, same (serial)
+          // path a worker would run — so fallback plans are bit-identical
+          // to dispatched ones and a worker loss is invisible in the
+          // result.
+          auto local_fallback = [](const ShardJob& job) {
+            return run_planner(job.planner, job.request.options, [&job] {
+              return PlannerRegistry::instance().at(job.planner).plan(
+                  job.request);
+            });
+          };
+          // `dist.streamed` counts only the deliveries that overlapped the
+          // batch — the ones arriving on a drain thread (fallback results
+          // come back on the calling thread after the dispatch rounds).
+          const std::thread::id caller = std::this_thread::get_id();
+          pool_->run(jobs, local_fallback,
+                     [&](std::size_t k, PlannerRun&& run) {
+                       const std::size_t s = misses[k].shard;
+                       // A run that is still not ok went through the local
+                       // fallback, so this is a genuine planning error (or
+                       // a cancelled/late request) — exactly what the local
+                       // sharded planner would have thrown.
+                       ADEPT_CHECK(run.ok,
+                                   run.error.empty()
+                                       ? "shard " + std::to_string(s) +
+                                             " failed"
+                                       : run.error);
+                       deliver(s, std::move(run.result));
+                       if (std::this_thread::get_id() != caller)
+                         ++detail::counters().streamed;
+                     });
+        };
+        return plan_sharded_streamed(
+            platform, r.params, r.service, options, partition,
+            config_.stitch_fanout,
+            shard_leaf_stream(platform, r.params, r.service, options,
+                              config_.leaf_planner, plan_misses));
       });
-}
-
-void Coordinator::dispatch_leaves(
-    const Platform& platform, const PlanRequest& request,
-    const PlanOptions& options, const std::vector<std::vector<NodeId>>& leaves,
-    const ShardResultSink& sink) {
-  // Each leaf is a self-contained request on the leaf's sub-platform.
-  // Only wire-travelling options go along (demand, trace switch); the
-  // runtime-only deadline/cancel stay for the local fallback, and the
-  // encoder turns a deadline into the remaining budget_ms for workers.
-  std::vector<ShardJob> jobs;
-  jobs.reserve(leaves.size());
-  for (const std::vector<NodeId>& ids : leaves) {
-    ShardJob job;
-    job.planner = config_.leaf_planner;
-    PlanOptions leaf_options;
-    leaf_options.demand = options.demand;
-    leaf_options.verbose_trace = options.verbose_trace;
-    leaf_options.deadline = options.deadline;
-    leaf_options.cancel = options.cancel;
-    job.request = PlanRequest(
-        std::make_shared<const Platform>(platform.subset(ids)),
-        request.params, request.service, std::move(leaf_options));
-    jobs.push_back(std::move(job));
-  }
-
-  // Consult the shard cache before anything touches the wire: a hit is
-  // a shard whose content-identical leaf plan is already known, so the
-  // shard is never dispatched at all — the worker fleet only sees the
-  // misses. Keys use config_.leaf_planner, the same name the jobs carry,
-  // so the local sharded planner (keyed on its own leaf planner) shares
-  // entries with a coordinator configured for the same leaf planner.
-  ShardPlanCache* cache = options.shard_cache;
-  std::vector<std::optional<PlanResult>> cached(leaves.size());
-  std::vector<std::string> keys(cache != nullptr ? leaves.size() : 0);
-  std::vector<std::size_t> pending;
-  pending.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    if (cache != nullptr) {
-      keys[s] = ShardPlanCache::key(*jobs[s].request.platform, request.params,
-                                    request.service, options,
-                                    config_.leaf_planner);
-      cached[s] = cache->lookup(keys[s]);
-      if (cached[s].has_value()) continue;
-    }
-    pending.push_back(s);
-  }
-
-  // Cache hits never touch the wire: deliver them — remapped to platform
-  // ids — ascending, before the fleet sees the misses, so the stitch can
-  // fold them in while workers are still planning.
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    if (!cached[s].has_value()) continue;
-    PlanResult plan = std::move(*cached[s]);
-    leaf_to_platform_ids(plan, leaves[s]);
-    sink(s, std::move(plan));
-  }
-  if (pending.empty()) return;
-
-  // The in-process fallback: same registry planner, same (serial) path a
-  // worker would run — so fallback plans are bit-identical to dispatched
-  // ones and a worker loss is invisible in the result.
-  auto local_fallback = [](const ShardJob& job) {
-    return run_planner(job.planner, job.request.options, [&job] {
-      return PlannerRegistry::instance().at(job.planner).plan(job.request);
-    });
-  };
-
-  std::vector<ShardJob> dispatch;
-  dispatch.reserve(pending.size());
-  for (const std::size_t s : pending) dispatch.push_back(std::move(jobs[s]));
-
-  // Worker responses are handed onward straight off their drain threads:
-  // validate, cache, remap to platform ids, sink. `dist.streamed` counts
-  // only the deliveries that actually overlapped the batch — the ones
-  // arriving on a thread other than the caller's (fallback results come
-  // back on the calling thread after the dispatch rounds).
-  const std::thread::id caller = std::this_thread::get_id();
-  auto deliver = [&](std::size_t k, PlannerRun&& run) {
-    const std::size_t s = pending[k];
-    // A run that is still not ok went through the local fallback, so
-    // this is a genuine planning error (or a cancelled/late request) —
-    // exactly what the local sharded planner would have thrown.
-    ADEPT_CHECK(run.ok, run.error.empty()
-                            ? "shard " + std::to_string(s) + " failed"
-                            : run.error);
-    PlanResult plan = std::move(run.result);
-    const std::vector<NodeId>& ids = leaves[s];
-    // An out-of-range node id in a worker's hierarchy would fault the
-    // remap below: reject it as the malformed response it is — the
-    // throw fails the *worker* (drain-thread path), the shard is
-    // re-dispatched or planned in-process — before anything reaches
-    // the cache.
-    for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-      ADEPT_CHECK(plan.hierarchy.node_of(e) < ids.size(),
-                  "shard " + std::to_string(s) + " response references node " +
-                      std::to_string(plan.hierarchy.node_of(e)) +
-                      " outside its sub-platform");
-    // Store by content in sub-platform-local ids, pre-remap, like the
-    // local leaf path — the two address identical entries. The cache is
-    // internally synchronised, so concurrent drain threads may insert.
-    if (cache != nullptr)
-      cache->insert(keys[s], *dispatch[k].request.platform, plan);
-    leaf_to_platform_ids(plan, ids);
-    if (std::this_thread::get_id() != caller) ++detail::counters().streamed;
-    sink(s, std::move(plan));
-  };
-
-  if (fleet_ != nullptr) {
-    // One lease per batch: the warm fleet is exclusively ours for the
-    // dispatch (the heartbeat and other coordinators wait), and the
-    // per-round respawn pass heals any losses from earlier requests.
-    FleetSupervisor::Lease lease = fleet_->lease();
-    lease.pool().run(dispatch, local_fallback, deliver);
-  } else {
-    owned_pool_->run(dispatch, local_fallback, deliver);
-  }
 }
 
 namespace {
 
-/// The eighth registry planner: a coordinator borrowing the process-wide
-/// warm fleet (dist/supervisor.hpp) — repeated plan() calls reuse the
-/// same supervised workers instead of building a fleet each time.
+/// The process-wide warm fleet behind the `distributed` registry
+/// planner: in-process transport, hardware-sized, respawning, built on
+/// first use and reused by every later plan() — so the service and
+/// portfolios stop paying fleet construction per request.
+WorkerPool& shared_fleet() {
+  // Declaration order pins destruction order: the transport outlives the
+  // fleet it spawns workers from.
+  static InProcessTransport transport;
+  static WorkerPool fleet(
+      transport,
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8),
+      [] {
+        WorkerPoolConfig config;
+        config.respawn = true;
+        return config;
+      }());
+  return fleet;
+}
+
+/// The eighth registry planner: a coordinator borrowing shared_fleet() —
+/// repeated plan() calls reuse the same warm workers instead of building
+/// a fleet each time.
 /// shard_aware keeps it out of portfolios, like "sharded" (it can only
 /// tie the monolithic heuristic on quality).
 class DistributedPlanner final : public IPlanner {

@@ -4,9 +4,9 @@
 ///
 /// A Coordinator plans like the local `sharded` backend — same
 /// partition (platform/partition.hpp), same recursive stitch + repair +
-/// quality floor (planner/sharded.hpp's plan_sharded_with core) — but
-/// obtains the leaf shard plans from a WorkerPool instead of the local
-/// thread pool. Each leaf becomes a self-contained PlanRequest on the
+/// quality floor and the same shard-leaf path (planner/sharded.hpp's
+/// plan_sharded_streamed and shard_leaf_stream) — but plans the
+/// shard-cache misses on a WorkerPool instead of the local thread pool. Each leaf becomes a self-contained PlanRequest on the
 /// serve wire format; since the wire serializers are round-trip exact
 /// (shortest round-trip doubles, io/wire.hpp) and the leaf planner is
 /// deterministic in the platform content, a worker's answer is
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/supervisor.hpp"
 #include "dist/worker_pool.hpp"
 #include "planner/registry.hpp"
 #include "planner/request.hpp"
@@ -62,13 +61,12 @@ class Coordinator {
   Coordinator(std::vector<std::unique_ptr<Worker>> workers,
               CoordinatorConfig config = {});
 
-  /// Borrows a long-lived supervised fleet instead of building one:
-  /// every dispatch takes a lease on `fleet` for the batch, so the
-  /// workers stay warm across coordinators and requests.
-  /// `config.workers` / timeout knobs are ignored in favour of the
-  /// fleet's own SupervisorConfig; the fleet must outlive the
+  /// Borrows a long-lived fleet instead of building one, so the workers
+  /// stay warm across coordinators and requests; the pool serialises
+  /// concurrent coordinators. Plans with the default CoordinatorConfig
+  /// (stitch fanout and leaf planner); `pool` must outlive the
   /// coordinator.
-  Coordinator(FleetSupervisor& fleet, CoordinatorConfig config = {});
+  explicit Coordinator(WorkerPool& pool);
 
   /// Plans `request` bit-identically with the registry's "sharded"
   /// planner, streaming shard responses into the stitch
@@ -78,34 +76,22 @@ class Coordinator {
   /// genuine planning failures.
   PlanResult plan(const PlanRequest& request);
 
-  /// The underlying fleet (phase/health introspection). Owned pools
-  /// only — a borrowed fleet is reached through its FleetSupervisor.
-  WorkerPool& pool();
-  const WorkerPool& pool() const;
+  /// The fleet, owned or borrowed (phase/health introspection).
+  WorkerPool& pool() { return *pool_; }
 
  private:
-  /// Streamed leaf dispatch (the ShardLeafStreamFn the stitch core
-  /// consumes): shard-cache hits are delivered ascending before anything
-  /// touches the wire, then the misses run over the fleet with worker
-  /// responses handed to `sink` straight off the drain threads —
-  /// validated, cached and remapped to platform ids first.
-  void dispatch_leaves(const Platform& platform, const PlanRequest& request,
-                       const PlanOptions& options,
-                       const std::vector<std::vector<NodeId>>& leaves,
-                       const ShardResultSink& sink);
-
   CoordinatorConfig config_;
-  std::optional<WorkerPool> owned_pool_;   ///< Null when fleet-borrowing.
-  FleetSupervisor* fleet_ = nullptr;       ///< Null when pool-owning.
+  std::optional<WorkerPool> owned_pool_;  ///< Empty when borrowing.
+  WorkerPool* pool_;                      ///< The fleet plan() dispatches to.
 };
 
 /// Factory for the registry entry ("distributed", demand- and
-/// shard-aware): a coordinator borrowing the process-wide warm
-/// `shared_fleet()` (in-process transport, hardware-sized, supervised),
-/// so repeated plan() calls reuse the same workers. Registered by
+/// shard-aware): a coordinator borrowing one process-wide warm pool
+/// (in-process transport, hardware-sized, respawning), so repeated
+/// plan() calls reuse the same workers. Registered by
 /// PlannerRegistry::instance() like the other built-ins; `adept plan
-/// --workers N` builds a supervised PipeTransport fleet of real serve
-/// subprocesses around the same Coordinator instead.
+/// --workers N` / `--connect` builds its own respawning pool of real
+/// serve workers around the same Coordinator instead.
 std::unique_ptr<IPlanner> make_distributed_planner();
 
 }  // namespace adept::dist

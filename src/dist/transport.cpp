@@ -9,7 +9,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -28,6 +27,7 @@
 // The workers speak the serve wire format; like planning_service.cpp's
 // cache-key serializer, this is a deliberate .cpp-local upward reference
 // into the io layer of the same static library.
+#include "io/serve.hpp"
 #include "io/wire.hpp"
 #include "planner/planning_service.hpp"
 
@@ -36,14 +36,6 @@ namespace adept::dist {
 namespace {
 
 // ---------------------------------------------------------- shared framing --
-
-/// A worker that dies mid-write must surface as an EPIPE/ECONNRESET
-/// errno on the coordinator's write(), not as a process-killing SIGPIPE.
-/// Both the pipe and socket transports arm this once per process.
-void ignore_sigpipe_once() {
-  static std::once_flag flag;
-  std::call_once(flag, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
 
 /// Ships `line` + '\n' to `fd`, retrying EINTR and partial writes. Any
 /// other error clears `alive` (the peer died under us) and returns
@@ -288,18 +280,6 @@ class PipeWorker final : public Worker {
 
 // ----------------------------------------------------------------- sockets --
 
-/// Splits "host:port" on the *last* ':' (leaves IPv6-style hosts with
-/// embedded colons intact). Throws on a missing or empty part.
-void split_endpoint(const std::string& endpoint, std::string& host,
-                    std::string& port) {
-  const std::size_t colon = endpoint.rfind(':');
-  ADEPT_CHECK(colon != std::string::npos && colon > 0 &&
-                  colon + 1 < endpoint.size(),
-              "socket endpoint must be host:port, got '" + endpoint + "'");
-  host = endpoint.substr(0, colon);
-  port = endpoint.substr(colon + 1);
-}
-
 /// Connects to `endpoint` under one absolute deadline shared across all
 /// resolved addresses: non-blocking connect, then poll(POLLOUT) in
 /// EINTR-retried slices, then SO_ERROR — the connect-side twin of the
@@ -309,7 +289,7 @@ void split_endpoint(const std::string& endpoint, std::string& host,
 int connect_with_deadline(const std::string& endpoint, double timeout_ms) {
   std::string host;
   std::string port;
-  split_endpoint(endpoint, host, port);
+  io::split_endpoint(endpoint, "socket", host, port);
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(
@@ -437,7 +417,7 @@ PipeTransport::PipeTransport(std::vector<std::string> argv)
     : argv_(std::move(argv)) {
   ADEPT_CHECK(!argv_.empty() && !argv_[0].empty(),
               "pipe transport needs a worker command");
-  ignore_sigpipe_once();
+  io::ignore_sigpipe_once();
 }
 
 std::unique_ptr<Worker> PipeTransport::spawn() {
@@ -455,9 +435,9 @@ SocketTransport::SocketTransport(std::vector<std::string> endpoints,
   for (const std::string& endpoint : endpoints_) {
     std::string host;
     std::string port;
-    split_endpoint(endpoint, host, port);  // fail fast on malformed input
+    io::split_endpoint(endpoint, "socket", host, port);  // fail fast
   }
-  ignore_sigpipe_once();
+  io::ignore_sigpipe_once();
 }
 
 std::unique_ptr<Worker> SocketTransport::spawn() {
@@ -478,7 +458,7 @@ ServeListener::ServeListener(std::vector<std::string> argv,
                              double announce_timeout_ms) {
   ADEPT_CHECK(!argv.empty() && !argv[0].empty(),
               "serve listener needs a command");
-  ignore_sigpipe_once();
+  io::ignore_sigpipe_once();
   int from_child[2];  // child stdout → parent reads the announce line
   ADEPT_CHECK(::pipe(from_child) == 0,
               "cannot create listener pipe: " +
@@ -509,8 +489,7 @@ ServeListener::ServeListener(std::vector<std::string> argv,
   bool alive = true;
   const bool announced = receive_framed_line(out_fd_, buffer, line,
                                              announce_timeout_ms, alive);
-  const std::string prefix = "listening on ";
-  if (!announced || line.rfind(prefix, 0) != 0) {
+  if (!announced || line.rfind(io::kListenAnnounce, 0) != 0) {
     kill_now();
     int status = 0;
     ::waitpid(pid_, &status, 0);
@@ -521,7 +500,7 @@ ServeListener::ServeListener(std::vector<std::string> argv,
                 (line.empty() ? std::string()
                               : " (got '" + line + "')"));
   }
-  endpoint_ = line.substr(prefix.size());
+  endpoint_ = line.substr(io::kListenAnnounce.size());
 }
 
 ServeListener::~ServeListener() {

@@ -87,11 +87,13 @@ WorkerPool::WorkerPool(std::vector<std::unique_ptr<Worker>> workers,
 }
 
 std::size_t WorkerPool::healthy_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   return healthy_indices().size();
 }
 
 WorkerPhase WorkerPool::phase(std::size_t index) const {
   ADEPT_CHECK(index < slots_.size(), "worker index out of range");
+  std::lock_guard<std::mutex> lock(mutex_);
   return slots_[index].phase;
 }
 
@@ -137,6 +139,11 @@ void WorkerPool::fail(Slot& slot) {
 }
 
 std::size_t WorkerPool::respawn_due() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return respawn_due_locked();
+}
+
+std::size_t WorkerPool::respawn_due_locked() {
   if (transport_ == nullptr || !config_.respawn) return 0;
   std::size_t respawned = 0;
   const auto now = std::chrono::steady_clock::now();
@@ -238,6 +245,7 @@ void WorkerPool::run(const std::vector<ShardJob>& jobs,
   ADEPT_CHECK(local_fallback != nullptr,
               "worker pool needs a local fallback planner");
   ADEPT_CHECK(on_result != nullptr, "worker pool needs a result sink");
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::size_t> pending(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) pending[i] = i;
   std::vector<std::size_t> local_jobs;
@@ -252,7 +260,7 @@ void WorkerPool::run(const std::vector<ShardJob>& jobs,
     obs::ScopedTimer round_timer(round_latency);
     // Supervised pools refill failed slots before every round, so a
     // crash in round k can be answered by a fresh worker in round k+1.
-    respawn_due();
+    respawn_due_locked();
     // Jobs already past their deadline (or cancelled) skip dispatch —
     // waiting on a worker for them would only burn healthy workers on
     // guaranteed timeouts. The fallback gives them the same skipped /
@@ -327,6 +335,7 @@ void WorkerPool::run(const std::vector<ShardJob>& jobs,
 }
 
 bool WorkerPool::health_check() {
+  std::lock_guard<std::mutex> lock(mutex_);
   ++detail::counters().health_checks;
   for (Slot& slot : slots_) {
     if (slot.phase == WorkerPhase::Failed || slot.worker == nullptr) continue;
@@ -346,7 +355,7 @@ bool WorkerPool::health_check() {
     else
       fail(slot);
   }
-  return healthy_count() == slots_.size();
+  return healthy_indices().size() == slots_.size();
 }
 
 }  // namespace adept::dist

@@ -17,12 +17,13 @@
 /// worker could otherwise emit a stale response into a later round). The
 /// *slot* is not: with `respawn` enabled and a spawning transport, a
 /// failed slot is refilled with a fresh worker once its capped
-/// exponential backoff has elapsed — the supervised restart loop the
-/// FleetSupervisor builds on. The jobs a failed worker left unanswered
-/// are re-dispatched to the remaining healthy workers — bounded by
-/// `max_retries` rounds — and whatever still has no answer is planned
-/// in-process through the caller's fallback, so a batch never fails
-/// because of worker loss. Results are delivered tagged with their job
+/// exponential backoff has elapsed — at the start of every dispatch
+/// round, and whenever the owner runs an explicit supervision pass
+/// (respawn_due() then health_check()). The jobs a failed worker left
+/// unanswered are re-dispatched to the remaining healthy workers —
+/// bounded by `max_retries` rounds — and whatever still has no answer is
+/// planned in-process through the caller's fallback, so a batch never
+/// fails because of worker loss. Results are delivered tagged with their job
 /// index, and failed jobs are re-dispatched and fallen back in ascending
 /// job order, so the output is deterministic whatever the
 /// failure/respawn timing.
@@ -31,11 +32,21 @@
 /// receive timeout is the *minimum* of `shard_timeout_ms` and the job's
 /// remaining budget, and jobs whose deadline already passed skip
 /// dispatch entirely — a hung worker can never blow a caller's deadline.
+///
+/// One pool can back many coordinators at once (the `distributed`
+/// registry planner shares one process-wide respawning pool): an
+/// internal mutex serialises run(), the supervision pass and the
+/// introspection calls, so a batch always has the whole fleet to itself
+/// and a supervision pass never interleaves with a dispatch round.
+/// Determinism (rule #7, docs/ARCHITECTURE.md): respawn changes *which
+/// process* answers a shard, never the answer — workers are stateless
+/// and leaf planners are deterministic in platform content.
 
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,8 +93,8 @@ struct WorkerPoolConfig {
 };
 
 /// Runs shard-job batches over a worker fleet (see the file comment).
-/// Not internally synchronised against concurrent run() calls — one
-/// coordinator (or one FleetSupervisor lease) drives one pool.
+/// Thread-safe: concurrent run() calls and supervision passes take
+/// turns on the pool's mutex.
 class WorkerPool {
  public:
   /// Spawns `workers` workers from `transport` (>= 1). A worker whose
@@ -126,7 +137,9 @@ class WorkerPool {
   /// rounds. A run with healthy workers pipelines each worker's share
   /// and drains the workers concurrently, one thread per dispatched
   /// worker. With respawn enabled, each dispatch round starts by
-  /// refilling failed slots whose backoff has elapsed.
+  /// refilling failed slots whose backoff has elapsed. Holds the pool's
+  /// mutex for the whole batch, so `on_result` must not call back into
+  /// this pool.
   void run(const std::vector<ShardJob>& jobs, const LocalPlanFn& local_fallback,
            const StreamResultFn& on_result);
 
@@ -160,8 +173,10 @@ class WorkerPool {
     std::chrono::steady_clock::time_point retry_at{};
   };
 
-  /// Worker indices able to take jobs.
+  /// Worker indices able to take jobs. Callers hold mutex_.
   std::vector<std::size_t> healthy_indices() const;
+  /// respawn_due() with mutex_ already held.
+  std::size_t respawn_due_locked();
   /// Fails `slot`: phase, counter, hard-kill, backoff bookkeeping.
   void fail(Slot& slot);
   /// Capped exponential backoff for a slot's `failures` streak.
@@ -180,7 +195,8 @@ class WorkerPool {
              std::vector<std::size_t>& unanswered,
              std::vector<std::size_t>& remote_failed);
 
-  std::vector<Slot> slots_;
+  mutable std::mutex mutex_;  ///< Serialises batches, supervision, reads.
+  std::vector<Slot> slots_;   ///< Guarded by mutex_ (size fixed).
   WorkerPoolConfig config_;
   Transport* transport_ = nullptr;  ///< Respawn source; null if adopted.
 };

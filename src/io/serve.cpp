@@ -680,12 +680,8 @@ void drain_before_close(int fd) {
 /// kernel-resolved port (meaningful when the caller asked for port 0).
 int bind_listener(const std::string& endpoint, std::string& host,
                   int& port) {
-  const std::size_t colon = endpoint.rfind(':');
-  ADEPT_CHECK(colon != std::string::npos && colon > 0 &&
-                  colon + 1 < endpoint.size(),
-              "listen endpoint must be host:port, got '" + endpoint + "'");
-  host = endpoint.substr(0, colon);
-  const std::string service = endpoint.substr(colon + 1);
+  std::string service;
+  split_endpoint(endpoint, "listen", host, service);
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof hints);
   hints.ai_family = AF_UNSPEC;
@@ -733,6 +729,22 @@ int bind_listener(const std::string& endpoint, std::string& host,
 
 }  // namespace
 
+void split_endpoint(const std::string& endpoint, const char* kind,
+                    std::string& host, std::string& port) {
+  const std::size_t colon = endpoint.rfind(':');
+  ADEPT_CHECK(colon != std::string::npos && colon > 0 &&
+                  colon + 1 < endpoint.size(),
+              std::string(kind) + " endpoint must be host:port, got '" +
+                  endpoint + "'");
+  host = endpoint.substr(0, colon);
+  port = endpoint.substr(colon + 1);
+}
+
+void ignore_sigpipe_once() {
+  static std::once_flag flag;
+  std::call_once(flag, [] { ::signal(SIGPIPE, SIG_IGN); });
+}
+
 std::size_t serve_session(std::istream& in, std::ostream& out,
                           const ServeConfig& config) {
   Session session(out, config);
@@ -744,13 +756,12 @@ std::size_t serve_listen(const std::string& endpoint,
                          std::size_t max_sessions) {
   // A client that disconnects mid-response must surface as a failed
   // write(), not a process-killing SIGPIPE.
-  static std::once_flag ignore_sigpipe;
-  std::call_once(ignore_sigpipe, [] { ::signal(SIGPIPE, SIG_IGN); });
+  ignore_sigpipe_once();
 
   std::string host;
   int port = 0;
   const int listen_fd = bind_listener(endpoint, host, port);
-  announce << "listening on " << host << ":" << port << "\n";
+  announce << kListenAnnounce << host << ":" << port << "\n";
   announce.flush();
 
   // The one warm service every session shares — the point of the

@@ -51,12 +51,13 @@
 /// deadline error.
 ///
 /// Each request's platform is deserialized into owning shared storage
-/// (wire::request_from_json), so an in-flight job can never outlive its
+/// (wire::ServeLine), so an in-flight job can never outlive its
 /// platform — the ownership model PlanRequest v2 exists for.
 
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "planner/cache_config.hpp"
 
@@ -88,6 +89,24 @@ struct ServeConfig {
 /// responses — only on unrecoverable stream failures.
 std::size_t serve_session(std::istream& in, std::ostream& out,
                           const ServeConfig& config = {});
+
+/// First words of the one line serve_listen() announces its bound
+/// endpoint with (`listening on <host>:<port>`); dist::ServeListener
+/// scrapes the endpoint from behind it.
+inline constexpr std::string_view kListenAnnounce = "listening on ";
+
+/// Splits "host:port" on the *last* ':', so IPv6-style hosts with
+/// embedded colons stay intact. Throws adept::Error
+/// "<kind> endpoint must be host:port, got '<endpoint>'" when either
+/// part is missing or empty.
+void split_endpoint(const std::string& endpoint, const char* kind,
+                    std::string& host, std::string& port);
+
+/// Ignores SIGPIPE, once per process: a peer that dies mid-write then
+/// surfaces as an EPIPE/ECONNRESET errno on write(), not as a
+/// process-killing signal. serve_listen() and the dist pipe and socket
+/// transports arm it.
+void ignore_sigpipe_once();
 
 /// TCP serve: binds `endpoint` ("host:port"; port 0 picks an ephemeral
 /// port), announces the bound endpoint on `announce` as exactly one line

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "planner/sharded.hpp"
 
 namespace adept {
 
@@ -118,15 +120,13 @@ std::string ShardPlanCache::key(const Platform& shard_platform,
                                 const ServiceSpec& service,
                                 const PlanOptions& options,
                                 const std::string& leaf_planner) {
-  // Only the wire-travelling leaf options enter the key — the exact
-  // fields the distributed coordinator forwards to a worker, so the
-  // local sharded planner and the coordinator address the same entries.
-  PlanOptions leaf_options;
-  leaf_options.demand = options.demand;
-  leaf_options.verbose_trace = options.verbose_trace;
-  const PlanRequest leaf(shard_platform, params, service,
-                         std::move(leaf_options));
-  return detail::request_key(leaf, leaf_planner);
+  // Borrows the platform (aliasing shared_ptr): the request dies here.
+  return detail::request_key(
+      shard_leaf_request(
+          std::shared_ptr<const Platform>(std::shared_ptr<const Platform>(),
+                                          &shard_platform),
+          params, service, options),
+      leaf_planner);
 }
 
 std::optional<PlanResult> ShardPlanCache::lookup(const std::string& key) {

@@ -42,8 +42,9 @@
 /// only the touched shard's entries go while every other shard's stay
 /// warm. clear() flushes everything (drift escalation does).
 ///
-/// Thread-safe: one mutex guards the LRU; the sharded leaf batch probes
-/// it from pool workers concurrently. Counters (hits/misses/evictions/
+/// Thread-safe: one mutex guards the LRU; the shard-leaf path
+/// (planner/sharded.hpp's shard_leaf_stream) probes it on the planning
+/// thread and fills it from pool workers or worker drain threads. Counters (hits/misses/evictions/
 /// insertions/invalidations/flushes) are kept internally and mirrored
 /// into `service.shard_cache.*` obs counters when bound to a registry.
 
@@ -112,12 +113,12 @@ class ShardPlanCache {
   ShardPlanCache(const ShardPlanCache&) = delete;             ///< Non-copyable.
   ShardPlanCache& operator=(const ShardPlanCache&) = delete;  ///< Non-copyable.
 
-  /// Key of one leaf shard problem: detail::request_key of
-  /// {leaf_planner, shard sub-platform, params, service, leaf options}.
-  /// Only the options the leaf path forwards enter the key — demand and
-  /// the trace switch — exactly the fields Coordinator::dispatch_leaves
-  /// puts on the wire; degree/shards/excluded are resolved above the
-  /// leaves and runtime-only knobs never affect results.
+  /// Key of one leaf shard problem: detail::request_key of the
+  /// shard_leaf_request() (planner/sharded.hpp) the shard-leaf path
+  /// builds for {shard sub-platform, params, service, options}, planned
+  /// with `leaf_planner`. Of the forwarded options only demand and the
+  /// trace switch enter the key; the deadline and cancel token never
+  /// affect results.
   static std::string key(const Platform& shard_platform,
                          const MiddlewareParams& params,
                          const ServiceSpec& service,

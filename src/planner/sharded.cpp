@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <exception>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -493,52 +494,99 @@ PlanResult plan_sharded_streamed(const Platform& platform,
   return engine.finalize();
 }
 
+PlanRequest shard_leaf_request(std::shared_ptr<const Platform> shard_platform,
+                               const MiddlewareParams& params,
+                               const ServiceSpec& service,
+                               const PlanOptions& options) {
+  PlanOptions leaf;
+  leaf.demand = options.demand;
+  leaf.verbose_trace = options.verbose_trace;
+  leaf.deadline = options.deadline;
+  leaf.cancel = options.cancel;
+  return PlanRequest(std::move(shard_platform), params, service,
+                     std::move(leaf));
+}
+
+ShardLeafStreamFn shard_leaf_stream(const Platform& platform,
+                                    const MiddlewareParams& params,
+                                    const ServiceSpec& service,
+                                    const PlanOptions& options,
+                                    std::string leaf_planner,
+                                    ShardMissFn plan_misses) {
+  return [&platform, &params, &service, &options,
+          leaf_planner = std::move(leaf_planner),
+          plan_misses = std::move(plan_misses)](
+             const std::vector<std::vector<NodeId>>& leaves,
+             const ShardResultSink& sink) {
+    ShardPlanCache* cache = options.shard_cache;
+    std::vector<std::shared_ptr<const Platform>> subs(leaves.size());
+    std::vector<std::string> keys(cache != nullptr ? leaves.size() : 0);
+    std::vector<ShardLeafMiss> misses;
+    // Hits never reach the leaf planner: they are delivered ascending
+    // while the remaining shards are still being probed.
+    for (std::size_t s = 0; s < leaves.size(); ++s) {
+      subs[s] = std::make_shared<const Platform>(platform.subset(leaves[s]));
+      PlanRequest leaf = shard_leaf_request(subs[s], params, service, options);
+      if (cache != nullptr) {
+        // Equal to ShardPlanCache::key, without building the leaf twice.
+        keys[s] = detail::request_key(leaf, leaf_planner);
+        if (std::optional<PlanResult> hit = cache->lookup(keys[s])) {
+          leaf_to_platform_ids(*hit, leaves[s]);
+          sink(s, std::move(*hit));
+          continue;
+        }
+      }
+      misses.push_back({s, std::move(leaf)});
+    }
+    if (misses.empty()) return;
+    plan_misses(misses, [&](std::size_t s, PlanResult plan) {
+      const std::vector<NodeId>& ids = leaves[s];
+      // An out-of-range node id (a malformed worker response) would fault
+      // the remap: reject it before anything reaches the cache. On a
+      // worker's drain thread the throw fails the worker and the shard is
+      // re-dispatched or planned in-process.
+      for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
+        ADEPT_CHECK(plan.hierarchy.node_of(e) < ids.size(),
+                    "shard " + std::to_string(s) +
+                        " response references node " +
+                        std::to_string(plan.hierarchy.node_of(e)) +
+                        " outside its sub-platform");
+      if (cache != nullptr) cache->insert(keys[s], *subs[s], plan);
+      leaf_to_platform_ids(plan, ids);
+      sink(s, std::move(plan));
+    });
+  };
+}
+
 PlanResult plan_sharded(const Platform& platform,
                         const MiddlewareParams& params,
                         const ServiceSpec& service, const PlanOptions& options,
                         const plat::Partition& partition) {
-  // The local leaf planner: each shard's sub-platform through the
+  // The local leaf planner: each missed shard's sub-platform through the
   // paper's heuristic, fanned over the caller's pool when one is given —
-  // bit-identical for any pool size. When a shard cache rides along
-  // (PlanOptions::shard_cache) each leaf is consulted/stored by content
-  // in sub-platform-local ids, *before* the remap to platform ids — a
-  // hit returns the stored result verbatim, so plans are bit-identical
-  // with or without the cache (ARCHITECTURE.md rule 8). A one-shard
-  // partition takes the same path: the subset of every id compares equal
-  // to the platform, so its key, stored names and plan are the
-  // platform's own.
-  auto plan_leaves = [&](const std::vector<std::vector<NodeId>>& leaves) {
-    std::vector<PlanResult> plans(leaves.size());
-    auto plan_one = [&](std::size_t s) {
-      const std::vector<NodeId>& ids = leaves[s];
-      ShardPlanCache* cache = options.shard_cache;
-      const Platform sub = platform.subset(ids);
-      std::string key;
-      std::optional<PlanResult> hit;
-      if (cache != nullptr) {
-        key = ShardPlanCache::key(sub, params, service, options,
-                                  kShardLeafPlanner);
-        hit = cache->lookup(key);
-      }
-      PlanResult plan = hit.has_value()
-                            ? std::move(*hit)
-                            : plan_heterogeneous(sub, params, service,
-                                                 options.demand, options.pool,
-                                                 &options);
-      if (cache != nullptr && !hit.has_value()) cache->insert(key, sub, plan);
-      leaf_to_platform_ids(plan, ids);
-      plans[s] = std::move(plan);
+  // bit-identical for any pool size. A one-shard partition takes the
+  // same path: the subset of every id compares equal to the platform, so
+  // its key, stored names and plan are the platform's own.
+  auto plan_misses = [&](const std::vector<ShardLeafMiss>& misses,
+                         const ShardMissSink& deliver) {
+    auto plan_one = [&](std::size_t k) {
+      const PlanRequest& leaf = misses[k].request;
+      deliver(misses[k].shard,
+              plan_heterogeneous(*leaf.platform, params, service,
+                                 leaf.options.demand, options.pool,
+                                 &leaf.options));
     };
     if (options.pool != nullptr && options.pool->thread_count() > 1 &&
-        leaves.size() > 1) {
-      options.pool->for_each(leaves.size(), plan_one);
+        misses.size() > 1) {
+      options.pool->for_each(misses.size(), plan_one);
     } else {
-      for (std::size_t s = 0; s < leaves.size(); ++s) plan_one(s);
+      for (std::size_t k = 0; k < misses.size(); ++k) plan_one(k);
     }
-    return plans;
   };
-  return plan_sharded_with(platform, params, service, options, partition,
-                           kDefaultStitchFanout, plan_leaves);
+  return plan_sharded_streamed(
+      platform, params, service, options, partition, kDefaultStitchFanout,
+      shard_leaf_stream(platform, params, service, options, kShardLeafPlanner,
+                        plan_misses));
 }
 
 namespace {

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "planner/planner.hpp"
@@ -53,11 +54,11 @@ inline constexpr const char* kShardLeafPlanner = "heuristic";
 /// Batch leaf planner of the sharded core: given the canonical leaf
 /// shards (platform node ids, ascending within a shard), returns one
 /// PlanResult per shard, aligned by index, with hierarchies already in
-/// *platform* node ids. The local implementation plans each shard's
-/// sub-platform with the paper's heuristic; the distributed Coordinator
-/// (dist/coordinator.hpp) ships each shard to a worker instead. Both
-/// must be deterministic in the shard content — the stitch above them is
-/// shared, which is what makes the two planners bit-identical.
+/// *platform* node ids. Tests and benches inject hand-written leaf
+/// paths this way; the `sharded` and `distributed` planners both stream
+/// through shard_leaf_stream() instead. Any leaf planner must be
+/// deterministic in the shard content — the stitch above it is shared,
+/// which is what makes the planners bit-identical.
 using ShardLeafBatchFn = std::function<std::vector<PlanResult>(
     const std::vector<std::vector<NodeId>>&)>;
 
@@ -89,6 +90,54 @@ using ShardResultSink = std::function<void(std::size_t, PlanResult)>;
 using ShardLeafStreamFn = std::function<void(
     const std::vector<std::vector<NodeId>>&, const ShardResultSink&)>;
 
+/// The self-contained request of one leaf shard: the shard's
+/// sub-platform plus the options a leaf honours — `demand`, the trace
+/// switch, the deadline and the cancel token. degree/shards/excluded are
+/// resolved above the leaves; pool and caches are the caller's. The one
+/// place this rule lives: the local leaf path, the Coordinator's wire
+/// jobs and ShardPlanCache::key all build leaves here, so the local and
+/// distributed planners address the same shard-cache entries.
+PlanRequest shard_leaf_request(std::shared_ptr<const Platform> shard_platform,
+                               const MiddlewareParams& params,
+                               const ServiceSpec& service,
+                               const PlanOptions& options);
+
+/// One leaf shard the shard cache could not answer.
+struct ShardLeafMiss {
+  std::size_t shard = 0;  ///< Index in the canonical partition.
+  PlanRequest request;    ///< shard_leaf_request() of the shard.
+};
+
+/// Delivery hook for a miss: the shard's index in the partition and its
+/// plan in the local ids of the shard's sub-platform (as a leaf planner
+/// returns it). Thread-safe; a throw means the plan was rejected and not
+/// delivered.
+using ShardMissSink = std::function<void(std::size_t, PlanResult)>;
+
+/// Plans the misses of one leaf batch (ascending shard order): must hand
+/// every miss's plan to the sink exactly once, from any threads, and
+/// return only after all deliveries have completed.
+using ShardMissFn = std::function<void(const std::vector<ShardLeafMiss>&,
+                                       const ShardMissSink&)>;
+
+/// The one shard-leaf path of the sharded core, shared by the local
+/// `sharded` planner and the distributed Coordinator. The returned
+/// stream builds each leaf's shard_leaf_request() once, probes
+/// `options.shard_cache` (keyed on `leaf_planner`) and delivers the hits,
+/// remapped to platform ids, in ascending shard order; then hands the
+/// misses to `plan_misses`. Each plan it delivers back is checked to name
+/// only nodes of its shard, stored in the cache by content in
+/// sub-platform-local ids (so a hit returns it verbatim and plans are
+/// bit-identical with or without the cache — ARCHITECTURE.md rule 8),
+/// remapped to platform ids and sunk. `platform`, `params`, `service`
+/// and `options` must outlive the stream.
+ShardLeafStreamFn shard_leaf_stream(const Platform& platform,
+                                    const MiddlewareParams& params,
+                                    const ServiceSpec& service,
+                                    const PlanOptions& options,
+                                    std::string leaf_planner,
+                                    ShardMissFn plan_misses);
+
 /// Plans `platform` shard-by-shard over an explicit `partition` and
 /// stitches the result (see the file comment for the algorithm). The
 /// entry point the registry's "sharded" planner calls after resolving
@@ -99,16 +148,15 @@ using ShardLeafStreamFn = std::function<void(
 /// `options.excluded` must be empty: exclusion is applied by the
 /// registry wrapper (plan on the surviving sub-platform, remap back)
 /// before any partitioning happens. `options.demand`, `options.pool`,
-/// and the deadline/cancel controls are honoured; a one-shard partition
-/// degenerates to plan_heterogeneous exactly.
+/// `options.shard_cache` and the deadline/cancel controls are honoured;
+/// a one-shard partition degenerates to plan_heterogeneous exactly.
 PlanResult plan_sharded(const Platform& platform,
                         const MiddlewareParams& params,
                         const ServiceSpec& service, const PlanOptions& options,
                         const plat::Partition& partition);
 
-/// The sharded core with the leaf planner injected: plan_sharded() with
-/// a local `plan_leaves`, the distributed Coordinator with a dispatching
-/// one. Canonicalizes `partition`, obtains every leaf plan from
+/// The sharded core with a batch leaf planner injected. Canonicalizes
+/// `partition`, obtains every leaf plan from
 /// `plan_leaves` in one batch, then stitches — recursively when the
 /// partition has more than `stitch_fanout` shards — and repairs, with
 /// the per-level quality floor (never worse than the best child). All

@@ -16,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -31,7 +34,6 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "dist/stats.hpp"
-#include "dist/supervisor.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker_pool.hpp"
 #include "dist_test_util.hpp"
@@ -517,16 +519,16 @@ TEST(Dist, CleanRunLeavesWorkersIdleAndCountsNoFaults) {
 
 TEST(Dist, CrashStormWithRespawnNeverFallsBack) {
   // Every worker answers exactly one shard and dies, every round — the
-  // supervisor refills the fleet between rounds, so the whole request is
+  // respawning pool refills the fleet between rounds, so the whole request is
   // still answered by (a parade of) real workers, never the fallback.
   const Platform platform = multi_cluster(120, 5);
   reset_stats_for_test();
   PipeTransport transport(answer_one_then_die());
-  SupervisorConfig config;
-  config.workers = 2;
-  config.pool.respawn_backoff_ms = 0.0;
-  config.pool.max_retries = 32;
-  FleetSupervisor fleet(transport, config);
+  WorkerPoolConfig config;
+  config.respawn = true;
+  config.respawn_backoff_ms = 0.0;
+  config.max_retries = 32;
+  WorkerPool fleet(transport, 2, config);
   const PlanResult sharded =
       run_planner("sharded", platform, dgemm_service(310));
   for (int round = 0; round < 2; ++round) {
@@ -547,11 +549,11 @@ TEST(Dist, StormFallsBackBitIdenticallyThenFleetRecovers) {
   touch(sentinel);
   reset_stats_for_test();
   PipeTransport transport(storm_gated_worker(sentinel));
-  SupervisorConfig config;
-  config.workers = 2;
-  config.pool.respawn_backoff_ms = 0.0;
-  config.pool.max_retries = 1;
-  FleetSupervisor fleet(transport, config);
+  WorkerPoolConfig config;
+  config.respawn = true;
+  config.respawn_backoff_ms = 0.0;
+  config.max_retries = 1;
+  WorkerPool fleet(transport, 2, config);
   const PlanResult sharded =
       run_planner("sharded", platform, dgemm_service(310));
   {
@@ -564,10 +566,11 @@ TEST(Dist, StormFallsBackBitIdenticallyThenFleetRecovers) {
   const DistStats storm = stats_snapshot();
   EXPECT_GT(storm.workers_respawned, 0u);
   EXPECT_GT(storm.fallbacks, 0u);
-  // Storm over: the next heartbeat respawns genuine workers and the next
-  // plan runs on them without a single new fault.
+  // Storm over: the next supervision pass respawns genuine workers and
+  // the next plan runs on them without a single new fault.
   std::filesystem::remove(sentinel);
-  EXPECT_TRUE(fleet.heartbeat());
+  fleet.respawn_due();
+  EXPECT_TRUE(fleet.health_check());
   EXPECT_EQ(fleet.healthy_count(), 2u);
   {
     Coordinator coordinator(fleet);
@@ -581,19 +584,27 @@ TEST(Dist, StormFallsBackBitIdenticallyThenFleetRecovers) {
 }
 
 TEST(Dist, ConcurrentPlansUnderHeartbeatStayDeterministic) {
-  // Two planner threads race each other and the 5 ms monitor heartbeat
-  // for the fleet lease while every worker keeps dying; the lease
-  // serializes them, so both still match the local sharded planner.
+  // Two coordinators share one respawning pool and race each other and
+  // a supervision thread (respawn_due + health_check in a loop) while
+  // every worker keeps dying; the pool's mutex serializes them, so both
+  // plans still match the local sharded planner.
   const Platform platform = multi_cluster(120, 5);
   PipeTransport transport(answer_one_then_die());
-  SupervisorConfig config;
-  config.workers = 2;
-  config.pool.respawn_backoff_ms = 0.0;
-  config.pool.max_retries = 32;
-  config.heartbeat_interval_ms = 5.0;
-  FleetSupervisor fleet(transport, config);
+  WorkerPoolConfig config;
+  config.respawn = true;
+  config.respawn_backoff_ms = 0.0;
+  config.max_retries = 32;
+  WorkerPool fleet(transport, 2, config);
   const PlanResult sharded =
       run_planner("sharded", platform, dgemm_service(310));
+  std::atomic<bool> planning{true};
+  std::thread supervisor([&fleet, &planning] {
+    while (planning.load()) {
+      fleet.respawn_due();
+      fleet.health_check();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
   std::vector<PlanResult> results(2);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < results.size(); ++t)
@@ -602,6 +613,8 @@ TEST(Dist, ConcurrentPlansUnderHeartbeatStayDeterministic) {
       results[t] = coordinator.plan(make_request(platform));
     });
   for (std::thread& thread : threads) thread.join();
+  planning.store(false);
+  supervisor.join();
   for (std::size_t t = 0; t < results.size(); ++t)
     expect_identical(results[t], sharded,
                      "concurrent plan " + std::to_string(t));
@@ -748,6 +761,81 @@ TEST(Dist, ShardCacheHitsSkipDispatchBitIdentically) {
 
   expect_identical(cold, sharded, "cold vs sharded");
   expect_identical(warm, sharded, "warm vs sharded");
+}
+
+/// Answers every planning line `ok` with a two-node hierarchy whose
+/// server names node 1000000 — outside any shard's sub-platform.
+class OutOfShardWorker final : public Worker {
+ public:
+  bool send(const std::string& line) override {
+    if (!alive_) return false;
+    ids_.push_back(json::parse(line).at("id"));
+    return true;
+  }
+  bool receive(std::string& line, double) override {
+    if (!alive_ || ids_.empty()) return false;
+    PlannerRun run;
+    run.planner = "heuristic";
+    run.ok = true;
+    run.result.hierarchy.add_server(run.result.hierarchy.add_root(0),
+                                    1000000);
+    json::Value answer = json::Value::object();
+    answer.set("id", ids_.front());
+    answer.set("ok", true);
+    answer.set("run", wire::to_json(run));
+    ids_.pop_front();
+    line = answer.dump();
+    return true;
+  }
+  bool alive() const override { return alive_; }
+  void kill() override { alive_ = false; }
+
+ private:
+  std::deque<json::Value> ids_;
+  bool alive_ = true;
+};
+
+TEST(Dist, OutOfShardResponseFailsTheWorkerAndNeverEntersTheCache) {
+  // A worker hierarchy naming a node outside its shard is a malformed
+  // response: it fails the worker, its shards fall back in-process, and
+  // nothing it said reaches the shard cache.
+  const Platform platform = multi_cluster(160);
+  const PlanResult sharded =
+      run_planner("sharded", platform, dgemm_service(310));
+  reset_stats_for_test();
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.push_back(std::make_unique<OutOfShardWorker>());
+  Coordinator coordinator(std::move(workers), CoordinatorConfig{});
+  ShardPlanCache cache(64);
+  PlanOptions options;
+  options.shard_cache = &cache;
+  expect_identical(coordinator.plan(make_request(platform, options)), sharded,
+                   "out-of-shard response");
+  EXPECT_EQ(stats_snapshot().worker_failures, 1u);
+
+  // Every stored entry is the fallback's plan in its shard's local ids.
+  const ShardPlanCache::Stats cold = cache.stats();
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_GT(cold.misses, 0u);
+  const plat::Partition partition = plat::partition_platform(platform, 0);
+  EXPECT_EQ(cold.misses, partition.size());
+  for (const std::vector<NodeId>& ids : partition.shards) {
+    const Platform sub = platform.subset(ids);
+    const std::optional<PlanResult> stored = cache.lookup(ShardPlanCache::key(
+        sub, kParams, dgemm_service(310), options, kShardLeafPlanner));
+    ASSERT_TRUE(stored.has_value());
+    expect_identical(*stored,
+                     plan_heterogeneous(sub, kParams, dgemm_service(310),
+                                        options.demand, nullptr, &options),
+                     "stored shard plan");
+  }
+
+  // A second plan on the same cache is all hits and gives the same result.
+  const ShardPlanCache::Stats probed = cache.stats();
+  expect_identical(coordinator.plan(make_request(platform, options)), sharded,
+                   "warm cache after the bad worker");
+  EXPECT_EQ(cache.stats().hits - probed.hits, cold.misses);
+  EXPECT_EQ(cache.stats().misses, probed.misses);
 }
 
 TEST(Dist, LocalShardedPlanWarmsTheCoordinatorsCache) {
